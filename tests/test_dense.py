@@ -177,3 +177,24 @@ def test_matches_oracle_on_random_instances(seed, n, d):
     pts = generate_instance(seed, n, d, "uniform_cube")
     m = Metric("manhattan")
     assert keys(dense_mst(pts, m)) == keys(oracle_mst(pts, m))
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_ties_under_permuted_sparse_ids_match_oracle(name):
+    # Grid points with duplicate rows make most weights tie, and ids drawn
+    # from a sparse range in random order put the canonical (u, v) winner of
+    # a tie away from the first row position that attains it; both the
+    # selection and the frontier update must break those ties by (u, v).
+    rng = np.random.default_rng(20240917)
+    m = Metric(name)
+    for d in (1, 2, 3, 5):
+        coords = rng.integers(0, 3, size=(70, d)).astype(np.float64)
+        if name == "cosine_distance":
+            coords = coords[coords.any(axis=1)]
+        n = coords.shape[0]
+        ids = rng.choice(25 * n, size=n, replace=False)
+        pts = PointSet(coords, ids=ids)
+        assert dense_mst(pts, m).edges == oracle_mst(pts, m).edges, d
+        for size in (2, 9, n // 2, n):
+            sub = rng.choice(n, size=size, replace=False)
+            assert dense_mst(pts, m, subset=sub).edges == oracle_mst(pts, m, subset=sub).edges, (d, size)
