@@ -6,6 +6,21 @@ is m*(m-1)/2 by construction. Weight ties fall back to the canonical (u, v)
 pair, both when updating a frontier candidate and when selecting the next
 vertex, which keeps the result identical to Kruskal under the same total
 order.
+
+At low d a step costs numpy call overhead rather than arithmetic, so each
+step is written to make few calls:
+
+- select: one argmin over the frontier; a tie is detected by masking that
+  slot with inf and comparing the frontier's min with the old value, and
+  only a tied min pays for the (u, v) tie-break;
+- move: the chosen vertex's row and scalars leave position q, and the
+  vertex at the frontier head moves into the hole (in-tree slots are never
+  read again, so nothing is written back to the head);
+- update: one distance block, a strict and an equal comparison, an
+  in-place minimum and one masked store of the new source; the (u, v)
+  rule runs only when some weight ties;
+- emit: u, v and w go into preallocated arrays, ordered by (w, u, v) with
+  one lexsort at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Metric, PointSet, subset_indices
-from .graph import Edge, EdgeList, edge_key
+from .graph import Edge, EdgeList
 from .stats import RunStats
 
 
@@ -39,56 +54,75 @@ def dense_mst(
     metric.check_domain(points, idx)
     work = metric.prepared(points)[idx]
     gid = points.ids[idx].copy()
+    block = metric.block
 
     # Rows are physically reordered as vertices join the tree: positions
     # [0, t) are in-tree, [t, m) are outside, so the frontier is always a
     # contiguous slice and per-row distance bits never depend on position.
     best_w = np.empty(m, dtype=np.float64)
     best_from = np.empty(m, dtype=np.int64)
-    best_w[1:] = metric.block(work[0], work[1:])
+    best_w[1:] = block(work[0], work[1:])
     best_from[1:] = gid[0]
-    evals = m - 1
+    # Tree edges in the order they join: from-vertex, new vertex, weight.
+    out_from = np.empty(m - 1, dtype=np.int64)
+    out_to = np.empty(m - 1, dtype=np.int64)
+    out_w = np.empty(m - 1, dtype=np.float64)
 
-    out = []
+    inf = np.inf
     for t in range(1, m):
-        q = t + _argmin_candidate(best_w[t:], best_from[t:], gid[t:])
-        out.append(Edge(int(best_from[q]), int(gid[q]), float(best_w[q])))
-        if q != t:
-            work[[t, q]] = work[[q, t]]
-            gid[[t, q]] = gid[[q, t]]
-            best_w[[t, q]] = best_w[[q, t]]
-            best_from[[t, q]] = best_from[[q, t]]
-        rest = m - t - 1
-        if rest:
-            fresh = metric.block(work[t], work[t + 1 :])
-            evals += rest
+        frontier = best_w[t:]
+        q = frontier.argmin()
+        w = frontier[q]
+        frontier[q] = inf
+        tied = frontier[frontier.argmin()] == w
+        frontier[q] = w
+        if tied:
+            q = _canonical_tie(frontier, best_from[t:], gid[t:], w)
+            w = frontier[q]
+        q += t
+        g = gid[q]
+        out_from[t - 1] = best_from[q]
+        out_to[t - 1] = g
+        out_w[t - 1] = w
+        if q == t:
+            row = work[t]
+        else:
+            row = work[q].copy()
+            work[q] = work[t]
+            gid[q] = gid[t]
+            best_w[q] = best_w[t]
+            best_from[q] = best_from[t]
+        if t + 1 < m:
+            fresh = block(row, work[t + 1 :])
             tail_w = best_w[t + 1 :]
+            tail_from = best_from[t + 1 :]
             improve = fresh < tail_w
             ties = fresh == tail_w
-            if ties.any():
-                g_new = gid[t]
+            if np.count_nonzero(ties):
                 gx = gid[t + 1 :]
-                bf = best_from[t + 1 :]
-                u_new = np.minimum(g_new, gx)
-                v_new = np.maximum(g_new, gx)
-                u_old = np.minimum(bf, gx)
-                v_old = np.maximum(bf, gx)
+                u_new = np.minimum(g, gx)
+                v_new = np.maximum(g, gx)
+                u_old = np.minimum(tail_from, gx)
+                v_old = np.maximum(tail_from, gx)
                 improve |= ties & ((u_new < u_old) | ((u_new == u_old) & (v_new < v_old)))
-            tail_w[improve] = fresh[improve]
-            best_from[t + 1 :][improve] = gid[t]
+            np.minimum(tail_w, fresh, out=tail_w)
+            np.putmask(tail_from, improve, g)
 
     if stats is not None:
-        stats.distance_evals += evals
-    out.sort(key=edge_key)
-    return EdgeList(out, points.count)
+        stats.distance_evals += m * (m - 1) // 2
+    u = np.minimum(out_from, out_to)
+    v = np.maximum(out_from, out_to)
+    order = np.lexsort((v, u, out_w))
+    edges = [
+        Edge(a, b, c)
+        for a, b, c in zip(u[order].tolist(), v[order].tolist(), out_w[order].tolist())
+    ]
+    return EdgeList(edges, points.count)
 
 
-def _argmin_candidate(w: np.ndarray, frm: np.ndarray, gx: np.ndarray) -> int:
-    """Index of the frontier candidate minimal under (w, u, v)."""
-    q = int(np.argmin(w))
-    ties = np.flatnonzero(w == w[q])
-    if ties.size == 1:
-        return q
+def _canonical_tie(w: np.ndarray, frm: np.ndarray, gx: np.ndarray, value) -> int:
+    """Index of the frontier candidate minimal under (u, v) among those of weight value."""
+    ties = np.flatnonzero(w == value)
     u = np.minimum(frm[ties], gx[ties])
     v = np.maximum(frm[ties], gx[ties])
     return int(ties[np.lexsort((v, u))[0]])

@@ -178,19 +178,19 @@ class Metric:
         if kind == "euclidean":
             diff = rows - a
             diff *= diff
-            return np.sqrt(np.sum(diff, axis=1))
+            return np.sqrt(diff.sum(axis=1))
         if kind == "squared_euclidean":
             diff = rows - a
             diff *= diff
-            return np.sum(diff, axis=1)
+            return diff.sum(axis=1)
         if kind == "manhattan":
-            return np.sum(np.abs(rows - a), axis=1)
+            return np.abs(rows - a).sum(axis=1)
         if kind == "chebyshev":
-            return np.max(np.abs(rows - a), axis=1)
+            return np.abs(rows - a).max(axis=1)
         # cosine_distance, on unit rows
         diff = rows - a
         diff *= diff
-        return 0.5 * np.sum(diff, axis=1)
+        return 0.5 * diff.sum(axis=1)
 
 
 def distance(metric: Metric, a, b, stats: RunStats | None = None) -> float:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geomst
 import geomst.cli as cli
 from geomst import EdgeList, PointSet, generate_instance, write_points
 
@@ -173,6 +177,33 @@ def test_stats_file_reports_run_counters(points_csv, tmp_path, capsys):
     assert stats["distance_evals"] == "3"
     assert stats["edges_gathered"] == "2"
     assert float(stats["wall_time_ms"]) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "workers, k, tasks",
+    [
+        ("1", "1", "1"),  # one worker: one whole-set task
+        ("2", "4", "6"),  # smallest k with k(k-1)/2 >= 2 * workers
+        ("4", "5", "10"),  # k = 4 gives 6 < 2 * 4 tasks
+    ],
+)
+def test_default_partitions_give_every_worker_two_tasks(square_csv, tmp_path, capsys, workers, k, tasks):
+    dest = tmp_path / "stats.txt"
+    argv = ["mst", "--input", square_csv, "--workers", workers, "--stats", str(dest)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    stats = dict(line.split("=", 1) for line in dest.read_text(encoding="utf-8").splitlines())
+    assert (stats["workers"], stats["k"], stats["tasks_executed"]) == (workers, k, tasks)
+
+
+def test_default_partitions_are_clamped_to_the_point_count(points_csv, tmp_path, capsys):
+    dest = tmp_path / "stats.txt"
+    argv = ["mst", "--input", points_csv, "--workers", "2", "--stats", str(dest)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == COLLINEAR_EDGES
+    stats = dict(line.split("=", 1) for line in dest.read_text(encoding="utf-8").splitlines())
+    assert (stats["k"], stats["tasks_executed"]) == ("3", "3")
 
 
 def test_vecbin_input_matches_csv_input(square_csv, tmp_path, capsys):
@@ -388,3 +419,24 @@ def test_domain_error_in_a_worker_exits_2(tmp_path, capsys):
     assert out == ""
     assert "point id 17)" in err
     assert multiprocessing.active_children() == []
+
+
+def _python_m(args, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_command_line(points_csv, tmp_path):
+    shown = _python_m(["geomst", "--help"], tmp_path)
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: geomst")
+    for module in ("geomst", "geomst.cli"):
+        done = _python_m([module, "mst", "--input", points_csv, "--workers", "1"], tmp_path)
+        assert (done.returncode, done.stdout) == (0, COLLINEAR_EDGES), module
+    bad = _python_m(["geomst", "frobnicate"], tmp_path)
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error:")
