@@ -7,20 +7,21 @@ pair, both when updating a frontier candidate and when selecting the next
 vertex, which keeps the result identical to Kruskal under the same total
 order.
 
-At low d a step costs numpy call overhead rather than arithmetic, so each
-step is written to make few calls:
+At low d a step costs numpy call overhead rather than arithmetic, so a step
+without ties makes seven array calls besides the distance block:
 
-- select: one argmin over the frontier; a tie is detected by masking that
-  slot with inf and comparing the frontier's min with the old value, and
-  only a tied min pays for the (u, v) tie-break;
-- move: the chosen vertex's row and scalars leave position q, and the
-  vertex at the frontier head moves into the hole (in-tree slots are never
-  read again, so nothing is written back to the head);
-- update: one distance block, a strict and an equal comparison, an
+- select (2): argmin over the frontier, then min-after-mask tie detection:
+  that slot is set to inf, and the weight at the argmin of the rest is
+  compared with the old value; only a tied minimum pays for the (u, v)
+  tie-break, and the slot is restored either way;
+- move (scalar stores and one row copy): the chosen vertex's row leaves
+  position q and the vertex at the frontier head moves into the hole;
+  in-tree slots are never read again, so nothing is written back;
+- update (5): a strict and an equal comparison, a count of the ties, an
   in-place minimum and one masked store of the new source; the (u, v)
   rule runs only when some weight ties;
-- emit: u, v and w go into preallocated arrays, ordered by (w, u, v) with
-  one lexsort at the end.
+- emit (scalar stores): u, v and w go into preallocated arrays, ordered by
+  (w, u, v) once, with one lexsort, after the last step.
 """
 
 from __future__ import annotations
@@ -68,12 +69,11 @@ def dense_mst(
     out_to = np.empty(m - 1, dtype=np.int64)
     out_w = np.empty(m - 1, dtype=np.float64)
 
-    inf = np.inf
     for t in range(1, m):
         frontier = best_w[t:]
-        q = frontier.argmin()
+        q = int(frontier.argmin())
         w = frontier[q]
-        frontier[q] = inf
+        frontier[q] = np.inf
         tied = frontier[frontier.argmin()] == w
         frontier[q] = w
         if tied:
