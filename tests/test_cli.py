@@ -187,7 +187,9 @@ def test_stats_file_reports_run_counters(points_csv, tmp_path, capsys):
         ("4", "5", "10"),  # k = 4 gives 6 < 2 * 4 tasks
     ],
 )
-def test_default_partitions_give_every_worker_two_tasks(square_csv, tmp_path, capsys, workers, k, tasks):
+def test_default_partitions_give_every_worker_two_tasks(
+    square_csv, tmp_path, capsys, workers, k, tasks
+):
     dest = tmp_path / "stats.txt"
     argv = ["mst", "--input", square_csv, "--workers", workers, "--stats", str(dest)]
     code, _, _ = run(argv, capsys)

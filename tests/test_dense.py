@@ -197,4 +197,5 @@ def test_ties_under_permuted_sparse_ids_match_oracle(name):
         assert dense_mst(pts, m).edges == oracle_mst(pts, m).edges, d
         for size in (2, 9, n // 2, n):
             sub = rng.choice(n, size=size, replace=False)
-            assert dense_mst(pts, m, subset=sub).edges == oracle_mst(pts, m, subset=sub).edges, (d, size)
+            got = dense_mst(pts, m, subset=sub).edges
+            assert got == oracle_mst(pts, m, subset=sub).edges, (d, size)

@@ -12,7 +12,14 @@ import hashlib
 
 import pytest
 
-from geomst import METRIC_NAMES, Metric, decomposed_mst, format_edges, generate_instance, make_partition
+from geomst import (
+    METRIC_NAMES,
+    Metric,
+    decomposed_mst,
+    format_edges,
+    generate_instance,
+    make_partition,
+)
 
 SIZES = {2: 240, 64: 120, 300: 60}  # d -> n
 
