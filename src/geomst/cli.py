@@ -16,6 +16,7 @@ column.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .datagen import generate_instance
@@ -75,8 +76,7 @@ def _add_compute_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help="block count (default: the smallest K with K(K-1)/2 >= 2*workers block-pair"
-        " tasks, or 1 for one worker; clamped to the point count)",
+        help="block count (default: ceil(sqrt(2*workers)), clamped to the point count)",
     )
     p.add_argument("--partition-strategy", choices=PARTITION_STRATEGIES, default="contiguous")
     p.add_argument(
@@ -150,20 +150,6 @@ def _resolve_workers(requested: int | None) -> int:
     return requested if requested is not None else usable_cores()
 
 
-def _default_partitions(workers: int) -> int:
-    """Block count giving every worker at least two of the k(k-1)/2 block-pair tasks.
-
-    One worker gets one block: a single whole-set task, with no redundant
-    evaluations.
-    """
-    if workers == 1:
-        return 1
-    k = 2
-    while k * (k - 1) // 2 < 2 * workers:
-        k += 1
-    return k
-
-
 def _compute(args, points: PointSet, metric: Metric):
     """Partition, decompose and solve; returns (tree, stats, k, workers)."""
     workers = _resolve_workers(args.workers)
@@ -171,7 +157,7 @@ def _compute(args, points: PointSet, metric: Metric):
     if n == 0:
         return EdgeList([], 0), RunStats(merge_strategy=args.merge), 0, workers
     if args.partitions is None:
-        k = min(n, _default_partitions(workers))
+        k = min(n, max(1, math.ceil(math.sqrt(2 * workers))))
     else:
         # More blocks than points cannot help; clamp rather than refuse so
         # one flag value works across inputs of any size.

@@ -13,7 +13,9 @@ without ties makes seven array calls besides the distance block:
 - select (2): argmin over the frontier, then min-after-mask tie detection:
   that slot is set to inf, and the weight at the argmin of the rest is
   compared with the old value; only a tied minimum pays for the (u, v)
-  tie-break, and the slot is restored either way;
+  tie-break, and the slot is restored either way; a non-finite minimum
+  (a distance that overflowed) stops the run at that step, before any
+  counter moves;
 - move (scalar stores and one row copy): the chosen vertex's row leaves
   position q and the vertex at the frontier head moves into the hole;
   in-tree slots are never read again, so nothing is written back;
@@ -26,8 +28,11 @@ without ties makes seven array calls besides the distance block:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import UsageError
 from .geometry import Metric, PointSet, subset_indices
 from .graph import Edge, EdgeList
 from .stats import RunStats
@@ -73,6 +78,8 @@ def dense_mst(
         frontier = best_w[t:]
         q = int(frontier.argmin())
         w = frontier[q]
+        if not math.isfinite(w):
+            raise UsageError(f"edge weight must be finite, got {float(w)!r}")
         frontier[q] = np.inf
         tied = frontier[frontier.argmin()] == w
         frontier[q] = w

@@ -15,6 +15,7 @@ from geomst import (
     PointSet,
     RunStats,
     UnionFind,
+    UsageError,
     dense_mst,
     edge_key,
     generate_instance,
@@ -166,6 +167,28 @@ def test_cosine_zero_vector_raises_before_any_work():
     # the zero row outside the subset must not trip the domain check
     tree = dense_mst(pts, Metric("cosine_distance"), subset=[1, 2])
     assert len(tree) == 1
+
+
+def test_overflowing_distance_stops_at_the_first_such_edge():
+    # Point 0 lies 1e200 from the rest, so its squared distances overflow:
+    # the first tree edge is already inf and no further block is computed.
+    calls = []
+
+    class CountingMetric(Metric):
+        __slots__ = ()
+
+        def block(self, a, rows):
+            calls.append(len(rows))
+            return super().block(a, rows)
+
+    coords = np.zeros((50, 2))
+    coords[0, 0] = 1e200
+    coords[1:, 1] = np.arange(49.0)
+    stats = RunStats()
+    with np.errstate(over="ignore"), pytest.raises(UsageError, match="must be finite, got inf"):
+        dense_mst(PointSet(coords), CountingMetric("euclidean"), stats)
+    assert calls == [49]
+    assert stats.distance_evals == 0
 
 
 @given(

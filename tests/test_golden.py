@@ -6,6 +6,14 @@ bytes, so one hash per (d, metric) covers the whole-set kernel (k = 1) and
 both merges over six block-pair tasks (k = 4). A change to the dense kernel
 or to the distance routine that moves a single weight bit, or the order of
 two tied edges, fails here.
+
+The hashes were recorded with numpy 2.4.6 (Python 3.11, x86_64). They also
+pin bits this package does not define yet: numpy's own summation order in
+`sum(axis=1)` at d = 64 and 300, and the bits of numpy's `log` and `cos`,
+which turn the package's SplitMix64 uniforms into the gaussian instances.
+A numpy build or version that changes either fails these tests without
+a fault in this package, until the package defines its own reduction
+order (ROADMAP direction 4).
 """
 
 import hashlib
