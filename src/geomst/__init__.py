@@ -8,7 +8,7 @@ decomposed result, the dense kernel and the brute-force oracle agree edge
 for edge, bit for bit.
 """
 
-from .datagen import DISTRIBUTIONS, blob_of, generate_instance
+from .datagen import DISTRIBUTIONS, generate_instance
 from .decompose import (
     MERGE_STRATEGIES,
     PARTITION_STRATEGIES,
@@ -22,7 +22,7 @@ from .dendrogram import Dendrogram, MergeStep, mst_to_dendrogram
 from .dense import dense_mst
 from .errors import DataError, GeomstError, MetricDomainError, UsageError
 from .geometry import METRIC_NAMES, Metric, PointSet, distance, subset_indices
-from .graph import Edge, EdgeList, UnionFind, edge_key, edge_order, kruskal
+from .graph import Edge, EdgeList, UnionFind, edge_key, kruskal
 from .io import (
     POINT_FORMATS,
     detect_format,
@@ -35,7 +35,7 @@ from .io import (
     write_points,
     write_stats,
 )
-from .oracle import DEFAULT_MAX_POINTS, check_substructure, induced_mst, oracle_mst
+from .oracle import DEFAULT_MAX_POINTS, check_substructure, oracle_mst
 from .rng import SplitMix64
 from .stats import RunStats
 
@@ -57,7 +57,6 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "POINT_FORMATS",
     "Partition",
-    "blob_of",
     "PointSet",
     "RunStats",
     "SplitMix64",
@@ -69,11 +68,9 @@ __all__ = [
     "detect_format",
     "distance",
     "edge_key",
-    "edge_order",
     "fmt_real",
     "format_edges",
     "generate_instance",
-    "induced_mst",
     "kruskal",
     "make_partition",
     "mst_to_dendrogram",

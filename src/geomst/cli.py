@@ -31,7 +31,7 @@ from .decompose import (
 from .dendrogram import mst_to_dendrogram
 from .errors import DataError, UsageError
 from .geometry import METRIC_NAMES, Metric, PointSet
-from .graph import EdgeList, edge_key
+from .graph import EdgeList
 from .io import (
     POINT_FORMATS,
     fmt_real,
@@ -146,16 +146,12 @@ def _load(args) -> tuple[PointSet, Metric]:
     return read_points(args.input, args.format), Metric(args.metric)
 
 
-def _resolve_workers(requested: int | None) -> int:
-    return requested if requested is not None else usable_cores()
-
-
 def _compute(args, points: PointSet, metric: Metric):
     """Partition, decompose and solve; returns (tree, stats, k, workers)."""
-    workers = _resolve_workers(args.workers)
+    workers = args.workers or usable_cores()
     n = points.count
     if n == 0:
-        return EdgeList([], 0), RunStats(merge_strategy=args.merge), 0, workers
+        return EdgeList(), RunStats(merge_strategy=args.merge), 0, workers
     if args.partitions is None:
         k = min(n, max(1, math.ceil(math.sqrt(2 * workers))))
     else:
@@ -205,7 +201,7 @@ def cmd_verify(args) -> int:
     failures = 0
 
     reference = oracle_mst(points, metric)
-    ok = sorted(tree, key=edge_key) == sorted(reference, key=edge_key)
+    ok = tree == reference
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} decomposed-vs-oracle (n={points.count}, k={k})")
 
@@ -235,7 +231,7 @@ def cmd_bench(args) -> int:
         raise UsageError("--partitions-list must be comma-separated integers") from None
     points = generate_instance(args.seed, args.n, args.dim, "uniform_cube")
     metric = Metric(args.metric)
-    workers = _resolve_workers(args.workers)
+    workers = args.workers or usable_cores()
     rows = ["k\ttasks\tdistance_evals\tredundancy_factor\tedges_gathered\twall_time_ms"]
     for k in ks:
         part = make_partition(args.n, k, "contiguous", args.seed)
@@ -269,10 +265,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,3 @@ def generate_instance(seed: int, n: int, d: int, distribution: str = "uniform_cu
         return PointSet(coords)
     raise UsageError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
 
-
-def blob_of(index: int, clusters: int) -> int:
-    """Blob membership under the round-robin assignment of clustered(c)."""
-    return index % clusters

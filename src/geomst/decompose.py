@@ -13,8 +13,8 @@ in a pool of worker processes, so the Python bookkeeping of each Prim step
 runs in parallel too, not only the numpy arithmetic that releases the GIL.
 The workers are forked where the platform can fork, so they inherit the
 points and the partition once per run instead of receiving them per task;
-each returns its task tree and evaluation count, and the trees are merged
-in task order whatever order the workers finish in.
+each returns its task tree as EdgeList arrays plus its evaluation count,
+and the trees are merged in task order whatever order the workers finish in.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
 
     @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
     def count(self) -> int:
         return sum(b.size for b in self.blocks)
 
@@ -95,14 +91,8 @@ def make_partition(n: int, k: int, strategy: str = "contiguous", seed: int = 0) 
     order = list(range(n))
     if strategy == "shuffled":
         SplitMix64(seed).shuffle(order)
-    base, extra = divmod(n, k)
-    blocks = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        blocks.append(np.array(order[start : start + size], dtype=np.int64))
-        start += size
-    return Partition(tuple(blocks))
+    # array_split gives the first n % k blocks one extra index.
+    return Partition(tuple(np.array_split(np.array(order, dtype=np.int64), k)))
 
 
 def decomposed_mst(
@@ -134,7 +124,7 @@ def decomposed_mst(
     stats = RunStats(merge_strategy=merge)
     started = time.perf_counter()
 
-    k = part.block_count
+    k = len(part.blocks)
     if k == 1:
         # The pairwise double loop is empty for a single block; the whole-set
         # kernel call preserves the "output is the MSF" contract, and nothing
@@ -154,23 +144,22 @@ def decomposed_mst(
         results = _solve_in_processes(points, metric, part, pairs, workers)
 
     stats.tasks_executed = len(pairs)
-    stats.distance_evals = sum(evals for _, evals in results)
-    task_trees = [tree for tree, _ in results]
-    slots = int(points.ids.max()) + 1
+    task_trees, evals = zip(*results)
+    stats.distance_evals = sum(evals)
 
     if merge == "gather":
-        candidates = [e for tree in task_trees for e in tree.edges]
+        candidates = EdgeList.concat(task_trees)
         stats.edges_gathered = len(candidates)
-        tree = kruskal(candidates, slots)
+        tree = kruskal(candidates)
     else:
         level = task_trees
         while len(level) > 1:
             combined = []
-            for left, right in zip(level[::2], level[1::2]):
-                fed = len(left.edges) + len(right.edges)
-                stats.edges_gathered += fed
-                stats.combine_input_sizes.append(fed)
-                combined.append(kruskal(left.edges + right.edges, slots))
+            for pair in zip(level[::2], level[1::2]):
+                candidates = EdgeList.concat(pair)
+                stats.edges_gathered += len(candidates)
+                stats.combine_input_sizes.append(len(candidates))
+                combined.append(kruskal(candidates))
             if len(level) % 2:
                 combined.append(level[-1])
             level = combined

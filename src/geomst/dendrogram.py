@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .graph import EdgeList, UnionFind, edge_key
+from .graph import EdgeList, UnionFind
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,26 @@ class Dendrogram:
 def mst_to_dendrogram(tree: EdgeList, n: int) -> Dendrogram:
     """Agglomerate a spanning tree on vertices 0..n-1 into its dendrogram.
 
-    Edges are replayed in ascending (weight, u, v) order; ties therefore
+    Edges are replayed in the EdgeList's (weight, u, v) order; ties therefore
     merge in a fixed, reproducible order and cluster ids follow step order.
     Forests are rejected: a dendrogram has exactly one root.
     """
     if n < 1:
         raise UsageError("a dendrogram needs at least one leaf")
-    edges = sorted(tree, key=edge_key)
-    if len(edges) != n - 1:
-        raise UsageError(f"a spanning tree on {n} vertices has {n - 1} edges, got {len(edges)}")
-    for e in edges:
-        if e.u < 0 or e.v >= n:
-            raise UsageError(f"edge ({e.u}, {e.v}) lies outside 0..{n - 1}")
+    if len(tree) != n - 1:
+        raise UsageError(f"a spanning tree on {n} vertices has {n - 1} edges, got {len(tree)}")
+    tree.check_range(n)
     uf = UnionFind(n)
     cluster_at = list(range(n))
     sizes = {c: 1 for c in range(n)}
     steps = []
-    for t, e in enumerate(edges):
-        ra, rb = uf.find(e.u), uf.find(e.v)
+    for t, (u, v, w) in enumerate(tree.triples()):
+        ra, rb = uf.find(u), uf.find(v)
         if ra == rb:
             raise UsageError("edge list contains a cycle; not a spanning tree")
         ca, cb = cluster_at[ra], cluster_at[rb]
         size = sizes.pop(ca) + sizes.pop(cb)
-        steps.append(MergeStep(ca, cb, float(e.w), size))
+        steps.append(MergeStep(ca, cb, w, size))
         uf.union(ra, rb)
         r = uf.find(ra)
         cluster_at[r] = n + t

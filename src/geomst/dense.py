@@ -22,8 +22,11 @@ without ties makes seven array calls besides the distance block:
 - update (5): a strict and an equal comparison, a count of the ties, an
   in-place minimum and one masked store of the new source; the (u, v)
   rule runs only when some weight ties;
-- emit (scalar stores): u, v and w go into preallocated arrays, ordered by
-  (w, u, v) once, with one lexsort, after the last step.
+- emit (scalar stores): u, v and w go into preallocated arrays, which
+  become the task's EdgeList, ordered by one lexsort, after the last step.
+
+An overflowed distance raises DataError only once the tree needs it; one
+np.errstate around the whole call keeps numpy's overflow warning quiet.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataError
 from .geometry import Metric, PointSet, subset_indices
-from .graph import Edge, EdgeList
+from .graph import EdgeList
 from .stats import RunStats
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dense_mst(
     points: PointSet,
     metric: Metric,
@@ -50,13 +54,10 @@ def dense_mst(
     kernel copies those rows into a private working array, so callers can
     share one immutable PointSet across concurrent invocations.
     """
-    if subset is None:
-        idx = np.arange(points.count, dtype=np.int64)
-    else:
-        idx = subset_indices(points, subset)
+    idx = subset_indices(points, subset)
     m = int(idx.size)
     if m <= 1:
-        return EdgeList([], points.count)
+        return EdgeList()
     metric.check_domain(points, idx)
     work = metric.prepared(points)[idx]
     gid = points.ids[idx].copy()
@@ -79,7 +80,8 @@ def dense_mst(
         q = int(frontier.argmin())
         w = frontier[q]
         if not math.isfinite(w):
-            raise UsageError(f"edge weight must be finite, got {float(w)!r}")
+            a, b = best_from[t + q], gid[t + q]
+            raise DataError(f"distance between points {a} and {b} is {float(w)!r} (overflow)")
         frontier[q] = np.inf
         tied = frontier[frontier.argmin()] == w
         frontier[q] = w
@@ -117,14 +119,7 @@ def dense_mst(
 
     if stats is not None:
         stats.distance_evals += m * (m - 1) // 2
-    u = np.minimum(out_from, out_to)
-    v = np.maximum(out_from, out_to)
-    order = np.lexsort((v, u, out_w))
-    edges = [
-        Edge(a, b, c)
-        for a, b, c in zip(u[order].tolist(), v[order].tolist(), out_w[order].tolist())
-    ]
-    return EdgeList(edges, points.count)
+    return EdgeList(out_from, out_to, out_w)
 
 
 def _canonical_tie(w: np.ndarray, frm: np.ndarray, gx: np.ndarray, value) -> int:

@@ -107,8 +107,10 @@ class PointSet:
         return f"PointSet(count={self.count}, dim={self.dim})"
 
 
-def subset_indices(points: PointSet, subset) -> np.ndarray:
-    """Validate a row-index subset of a PointSet and return it as int64."""
+def subset_indices(points: PointSet, subset=None) -> np.ndarray:
+    """Validate a row-index subset of a PointSet and return it as int64; None means every row."""
+    if subset is None:
+        return np.arange(points.count, dtype=np.int64)
     idx = np.asarray(subset, dtype=np.int64)
     if idx.ndim != 1:
         raise UsageError(f"subset must be a flat index sequence, got shape {idx.shape}")

@@ -1,16 +1,19 @@
-"""Edges, the deterministic edge total order, union-find and Kruskal.
+"""Edges as three parallel arrays, the (w, u, v) total order, union-find and Kruskal.
 
 The (weight, u, v) lexicographic order is a strict total order on canonical
-edges, which makes the minimum spanning forest unique. Every MST routine in
-the package breaks ties through this order, so their outputs are comparable
-edge for edge.
+edges, which makes the minimum spanning forest unique. EdgeList holds every
+edge list from the dense kernel to the TSV writer as u, v and w arrays in
+that order; Edge is only the per-edge view its iteration hands out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import starmap
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import UsageError
 
@@ -41,48 +44,73 @@ def edge_key(e: Edge) -> tuple[float, int, int]:
     return (e.w, e.u, e.v)
 
 
-def edge_order(a: Edge, b: Edge) -> int:
-    """Compare two edges under the total order: -1, 0 or +1."""
-    ka, kb = edge_key(a), edge_key(b)
-    if ka < kb:
-        return -1
-    if ka == kb:
-        return 0
-    return 1
-
-
-@dataclass
 class EdgeList:
-    """A sequence of edges plus the vertex-count context it was built against."""
+    """Edges as read-only arrays u (int64), v (int64), w (float64), u < v, in (w, u, v) order.
 
-    edges: list[Edge] = field(default_factory=list)
-    vertex_count_hint: int = 0
+    The constructor takes the endpoints in either order, rejects self-loops
+    and non-finite weights, and sorts with one lexsort, so every EdgeList is
+    ordered and two are equal when their arrays are.
+    """
 
-    def __len__(self) -> int:
-        return len(self.edges)
+    __slots__ = ("u", "v", "w")
+
+    def __init__(self, u=(), v=(), w=()):
+        a, b = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if a.ndim != 1 or not a.shape == b.shape == w.shape:
+            raise UsageError("u, v and w must be flat arrays of one length")
+        loops = np.flatnonzero(a == b)
+        if loops.size:
+            raise UsageError(f"self-loop edge on vertex {int(a[loops[0]])}")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise UsageError(f"edge weight must be finite, got {float(w[bad[0]])!r}")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo, w))
+        self.u, self.v, self.w = lo[order], hi[order], w[order]
+        for arr in (self.u, self.v, self.w):
+            arr.setflags(write=False)
+
+    @classmethod
+    def of(cls, edges: Iterable[Edge]) -> EdgeList:
+        return cls(*zip(*((e.u, e.v, e.w) for e in edges)))
+
+    @classmethod
+    def concat(cls, lists: Sequence[EdgeList]) -> EdgeList:
+        """The edges of one or more lists, in one list."""
+        return cls(
+            np.concatenate([el.u for el in lists]),
+            np.concatenate([el.v for el in lists]),
+            np.concatenate([el.w for el in lists]),
+        )
+
+    def triples(self) -> Iterator[tuple[int, int, float]]:
+        """(u, v, w) as Python numbers, in order."""
+        return zip(self.u.tolist(), self.v.tolist(), self.w.tolist())
+
+    @property
+    def edges(self) -> list[Edge]:
+        return list(self)
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
+        return starmap(Edge, self.triples())
 
-    def __getitem__(self, i):
-        return self.edges[i]
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeList):
+            return NotImplemented
+        return all(map(np.array_equal, (self.u, self.v, self.w), (other.u, other.v, other.w)))
 
     def total_weight(self) -> float:
-        return math.fsum(e.w for e in self.edges)
+        return math.fsum(self.w.tolist())
 
-    def sorted(self) -> "EdgeList":
-        return EdgeList(sorted(self.edges, key=edge_key), self.vertex_count_hint)
-
-    def dedup(self) -> "EdgeList":
-        """Drop repeated (u, v) pairs, keeping the first occurrence."""
-        seen: set[tuple[int, int]] = set()
-        kept = []
-        for e in self.edges:
-            pair = (e.u, e.v)
-            if pair not in seen:
-                seen.add(pair)
-                kept.append(e)
-        return EdgeList(kept, self.vertex_count_hint)
+    def check_range(self, n: int) -> None:
+        """Raise UsageError naming the first edge with an endpoint outside 0..n-1."""
+        bad = np.flatnonzero((self.u < 0) | (self.v >= n))
+        if bad.size:
+            raise UsageError(f"edge ({self.u[bad[0]]}, {self.v[bad[0]]}) lies outside 0..{n - 1}")
 
 
 class UnionFind:
@@ -117,16 +145,18 @@ class UnionFind:
         return True
 
 
-def kruskal(candidates: EdgeList | Iterable[Edge], n: int) -> EdgeList:
+def kruskal(candidates: EdgeList | Iterable[Edge], n: int | None = None) -> EdgeList:
     """Minimum spanning forest of the candidate multigraph under the total order.
 
-    Output comes back sorted by edge_key. Duplicate pairs are harmless: the
-    second copy closes a two-edge cycle and is skipped by union-find.
+    Union-find runs over the endpoint ids that occur, compacted to 0..r-1, so
+    sparse or huge ids cost nothing; n, when given, only bounds the ids.
+    Duplicate pairs are harmless: the second copy closes a two-edge cycle.
     """
-    edges = list(candidates.edges if isinstance(candidates, EdgeList) else candidates)
-    for e in edges:
-        if e.u < 0 or e.v >= n:
-            raise UsageError(f"edge ({e.u}, {e.v}) out of range for {n} vertices")
-    uf = UnionFind(n)
-    forest = [e for e in sorted(edges, key=edge_key) if uf.union(e.u, e.v)]
-    return EdgeList(forest, n)
+    el = candidates if isinstance(candidates, EdgeList) else EdgeList.of(candidates)
+    if n is not None:
+        el.check_range(n)
+    ids, slot = np.unique(np.concatenate((el.u, el.v)), return_inverse=True)
+    union = UnionFind(ids.size).union
+    half = len(el)
+    keep = np.array([union(a, b) for a, b in zip(slot[:half].tolist(), slot[half:].tolist())], bool)
+    return EdgeList(el.u[keep], el.v[keep], el.w[keep])

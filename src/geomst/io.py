@@ -9,6 +9,7 @@ then n*d IEEE-754 doubles row-major.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .dendrogram import Dendrogram
 from .errors import DataError, UsageError
 from .geometry import PointSet
-from .graph import Edge, EdgeList, edge_key
+from .graph import EdgeList
 from .stats import RunStats
 
 POINT_FORMATS = ("csv", "vecbin")
@@ -110,8 +111,8 @@ def write_points(points: PointSet, path, format: str | None = None) -> None:
 
 
 def format_edges(tree: EdgeList) -> str:
-    """TSV edge list text: u, v, weight per line, ascending (weight, u, v) order."""
-    return "".join(f"{e.u}\t{e.v}\t{fmt_real(e.w)}\n" for e in sorted(tree, key=edge_key))
+    """TSV edge list text: u, v, weight per line, in the EdgeList's (weight, u, v) order."""
+    return "".join(f"{u}\t{v}\t{fmt_real(w)}\n" for u, v, w in tree.triples())
 
 
 def write_edges(tree: EdgeList, path) -> None:
@@ -120,19 +121,21 @@ def write_edges(tree: EdgeList, path) -> None:
 
 
 def read_edges(path) -> EdgeList:
-    edges = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    rows = []
     for i, line in enumerate(lines):
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}: row {i} has {len(fields)} fields, expected 3")
         try:
-            edges.append(Edge(int(fields[0]), int(fields[1]), float(fields[2])))
+            u, v, w = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
             raise DataError(f"{path}: row {i} contains an unparseable value") from None
-    hint = 1 + max((e.v for e in edges), default=-1)
-    return EdgeList(edges, hint)
+        if u == v or not math.isfinite(w):
+            raise DataError(f"{path}: row {i} is a self-loop or has a non-finite weight")
+        rows.append((u, v, w))
+    return EdgeList(*zip(*rows))
 
 
 def write_dendrogram(d: Dendrogram, path) -> None:

@@ -10,47 +10,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, subset_indices
-from .graph import Edge, EdgeList, kruskal
+from .graph import EdgeList, kruskal
 
 DEFAULT_MAX_POINTS = 2048
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_mst(
     points: PointSet,
     metric: Metric,
     subset=None,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> EdgeList:
-    """MSF of the explicit complete graph on points[subset], sorted by edge_key."""
-    if subset is None:
-        idx = np.arange(points.count, dtype=np.int64)
-    else:
-        idx = subset_indices(points, subset)
+    """MSF of the explicit complete graph on points[subset], global ids preserved.
+
+    Raises DataError naming the first pair whose distance overflows.
+    """
+    idx = subset_indices(points, subset)
     m = int(idx.size)
     if m > max_points:
         raise UsageError(
             f"oracle refuses {m} points (cap {max_points}); pass max_points to override"
         )
     if m <= 1:
-        return EdgeList([], points.count)
+        return EdgeList()
     metric.check_domain(points, idx)
     mat = metric.prepared(points)[idx]
     gid = points.ids[idx]
-    edges = []
-    for a in range(m - 1):
-        weights = metric.block(mat[a], mat[a + 1 :])
-        ga = int(gid[a])
-        edges.extend(
-            Edge(ga, int(gb), float(wab)) for gb, wab in zip(gid[a + 1 :], weights)
-        )
-    return kruskal(edges, int(points.ids.max()) + 1)
-
-
-def induced_mst(points: PointSet, metric: Metric, subset, max_points: int = DEFAULT_MAX_POINTS) -> EdgeList:
-    """Oracle MSF of the complete graph restricted to subset, global ids preserved."""
-    return oracle_mst(points, metric, subset=subset_indices(points, subset), max_points=max_points)
+    w = np.concatenate([metric.block(mat[a], mat[a + 1 :]) for a in range(m - 1)])
+    iu, iv = np.triu_indices(m, 1)  # row a's block holds the pairs (a, a+1..m-1)
+    u, v = gid[iu], gid[iv]
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"distance between points {u[i]} and {v[i]} is {float(w[i])!r} (overflow)")
+    return kruskal(EdgeList(u, v, w))
 
 
 def check_substructure(points: PointSet, metric: Metric, subset) -> bool:
@@ -61,7 +57,8 @@ def check_substructure(points: PointSet, metric: Metric, subset) -> bool:
     """
     idx = subset_indices(points, subset)
     whole = oracle_mst(points, metric)
-    inside = set(points.ids[idx].tolist())
-    restricted = [e for e in whole.edges if e.u in inside and e.v in inside]
-    sub = set(induced_mst(points, metric, idx).edges)
-    return all(e in sub for e in restricted)
+    sub = oracle_mst(points, metric, subset=idx)
+    inside = points.ids[idx]
+    mask = np.isin(whole.u, inside) & np.isin(whole.v, inside)
+    restricted = EdgeList(whole.u[mask], whole.v[mask], whole.w[mask])
+    return set(sub.triples()).issuperset(restricted.triples())

@@ -304,7 +304,7 @@ def test_verify_trials_can_be_disabled(square_csv, capsys):
 
 
 def test_verify_flags_oracle_mismatch_with_exit_three(square_csv, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_mst", lambda points, metric: EdgeList([], points.count))
+    monkeypatch.setattr(cli, "oracle_mst", lambda points, metric: EdgeList())
     code, out, _ = run(
         ["verify", "--input", square_csv, "--workers", "1", "--trials", "0"], capsys
     )
@@ -424,6 +424,45 @@ def test_domain_error_in_a_worker_exits_2(tmp_path, capsys):
     assert out == ""
     assert "point id 17)" in err
     assert multiprocessing.active_children() == []
+
+
+def test_no_edge_object_is_built_from_kernel_to_file(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("an Edge was built")
+
+    monkeypatch.setattr(geomst.Edge, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        geomst.Edge(0, 1, 1.0)
+    path = tmp_path / "points.csv"
+    write_points(generate_instance(3, 40, 3, "clustered(3)"), str(path))
+    base = ["--input", str(path), "--partitions", "3"]
+    for merge, workers in (("gather", "1"), ("reduce", "1"), ("reduce", "2")):
+        flags = base + ["--merge", merge, "--workers", workers]
+        assert run(["mst"] + flags, capsys)[0] == 0
+        dendro = ["--dendro-output", str(tmp_path / "dendro.tsv")]
+        assert run(["dendrogram"] + flags + dendro, capsys)[0] == 0
+    code, out, _ = run(["verify"] + base + ["--workers", "1", "--trials", "3"], capsys)
+    assert code == 0 and out.count("PASS") == 4
+
+
+def test_overflowing_distance_is_a_data_error(tmp_path):
+    # Point 5 lies 3e154 from the others: its squared distances overflow,
+    # and the tree needs one of them.
+    coords = np.zeros((6, 2))
+    coords[:5, 0] = np.arange(5.0)
+    coords[5, 0] = 3e154
+    path = tmp_path / "huge.csv"
+    write_points(PointSet(coords), str(path))
+    base = ["geomst", "mst", "--input", str(path), "--partitions", "3"]
+    for argv in (base + ["--workers", "1"], base + ["--workers", "2"]):
+        done = _python_m(argv, tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "distance between points 0 and 5 is inf" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+    argv = ["geomst", "verify", "--input", str(path), "--workers", "1"]
+    done = _python_m(argv, tmp_path)
+    assert done.returncode == 2 and "points 0 and 5" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def _python_m(args, cwd):

@@ -12,7 +12,6 @@ from geomst import (
     Metric,
     SplitMix64,
     UsageError,
-    blob_of,
     dense_mst,
     generate_instance,
 )
@@ -82,8 +81,12 @@ def test_two_point_gaussian_yields_single_mst_edge():
 
 
 def test_blob_assignment_is_round_robin():
-    assert [blob_of(i, 3) for i in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-    assert blob_of(0, 1) == 0
+    # Point i belongs to blob i % c, whose center sits at (i % c) * spacing.
+    d = 2
+    pts = generate_instance(6, 7, d, "clustered(3)")
+    blob = np.rint(pts.coords[:, 0] / (100.0 * d**0.5)).astype(int)
+    assert blob.tolist() == [0, 1, 2, 0, 1, 2, 0]
+    assert generate_instance(6, 4, d, "clustered(1)").coords[:, 0].max() < 10.0
 
 
 def test_clustered_blob_centers_are_spaced_along_first_axis():
@@ -112,14 +115,14 @@ def test_clustered_bridges_dominate_intra_blob_distances():
     bridges = [e for e in tree.edges if e.w > p99]
     assert len(bridges) == c - 1
     for e in bridges:
-        assert blob_of(e.u, c) != blob_of(e.v, c)
+        assert e.u % c != e.v % c
 
 
 def test_clustered_mst_keeps_blobs_internally_connected():
     c = 3
     pts = generate_instance(4, 90, 5, f"clustered({c})")
     tree = dense_mst(pts, Metric("euclidean"))
-    cross = sum(1 for e in tree.edges if blob_of(e.u, c) != blob_of(e.v, c))
+    cross = sum(1 for e in tree.edges if e.u % c != e.v % c)
     assert cross == c - 1
 
 

@@ -1,6 +1,7 @@
 """Pairwise-partition decomposition: equivalence, counters, merge strategies."""
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -283,3 +284,18 @@ def test_always_equals_oracle(seed, n, d, k, shuffled, merge, workers):
     assert keys(tree) == keys(oracle_mst(pts, m))
     assert len(tree) == n - 1
     assert stats.distance_evals >= n * (n - 1) // 2 or min(k, n) == 1
+
+
+@pytest.mark.parametrize("ids", [[0, 1, 2, 10**7], [2**40, 2**40 + 1, 2**40 + 2, 2**40 + 9]])
+def test_sparse_ids_give_the_relabelled_dense_tree_quickly(ids):
+    # Union-find is sized by the ids that occur, not by the largest one.
+    coords = generate_instance(8, 4, 3, "uniform_cube").coords
+    m = Metric("euclidean")
+    expected = [(w, ids[u], ids[v]) for w, u, v in keys(oracle_mst(PointSet(coords), m))]
+    sparse = PointSet(coords, ids=ids)
+    start = time.perf_counter()
+    for merge in MERGE_STRATEGIES:
+        tree, _ = decomposed_mst(sparse, m, make_partition(4, 2), merge, workers=1)
+        assert keys(tree) == expected
+    assert keys(oracle_mst(sparse, m)) == expected
+    assert time.perf_counter() - start < 0.5

@@ -22,7 +22,7 @@ from geomst import (
 
 
 def test_three_point_chain_trace():
-    tree = EdgeList([Edge(0, 1, 1.0), Edge(1, 2, 2.0)])
+    tree = EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)])
     d = mst_to_dendrogram(tree, 3)
     assert d.steps == (
         MergeStep(0, 1, 1.0, 2),
@@ -31,12 +31,12 @@ def test_three_point_chain_trace():
 
 
 def test_two_point_single_step():
-    d = mst_to_dendrogram(EdgeList([Edge(0, 1, 5.0)]), 2)
+    d = mst_to_dendrogram(EdgeList.of([Edge(0, 1, 5.0)]), 2)
     assert d.steps == (MergeStep(0, 1, 5.0, 2),)
 
 
 def test_single_leaf_has_no_steps():
-    d = mst_to_dendrogram(EdgeList([]), 1)
+    d = mst_to_dendrogram(EdgeList.of([]), 1)
     assert d.steps == ()
     assert d.cut(0.0) == [[0]]
 
@@ -114,15 +114,15 @@ def test_cluster_ids_follow_step_order():
 
 def test_rejects_forests_and_cycles():
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList([Edge(0, 1, 1.0)]), 3)  # disconnected: too few edges
+        mst_to_dendrogram(EdgeList.of([Edge(0, 1, 1.0)]), 3)  # disconnected: too few edges
     with pytest.raises(UsageError):
         mst_to_dendrogram(
-            EdgeList([Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 1.0)]), 4
+            EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 1.0)]), 4
         )  # cycle plus isolated vertex
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList([Edge(0, 3, 1.0)]), 2)  # endpoint out of range
+        mst_to_dendrogram(EdgeList.of([Edge(0, 3, 1.0)]), 2)  # endpoint out of range
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList([]), 0)
+        mst_to_dendrogram(EdgeList.of([]), 0)
 
 
 def test_dendrogram_type_validates_its_invariants():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomst import (
     METRIC_NAMES,
+    DataError,
     Metric,
     MetricDomainError,
     PointSet,
@@ -134,7 +135,8 @@ def test_duplicate_points_give_zero_weight_edges():
     pts = PointSet([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
     tree = dense_mst(pts, Metric("euclidean"))
     assert len(tree) == 2
-    assert tree[0].w == 0.0 and (tree[0].u, tree[0].v) == (0, 1)
+    first = tree.edges[0]
+    assert first.w == 0.0 and (first.u, first.v) == (0, 1)
 
 
 def test_subset_result_carries_global_row_indices():
@@ -185,7 +187,7 @@ def test_overflowing_distance_stops_at_the_first_such_edge():
     coords[0, 0] = 1e200
     coords[1:, 1] = np.arange(49.0)
     stats = RunStats()
-    with np.errstate(over="ignore"), pytest.raises(UsageError, match="must be finite, got inf"):
+    with pytest.raises(DataError, match="between points 0 and 1 is inf"):
         dense_mst(PointSet(coords), CountingMetric("euclidean"), stats)
     assert calls == [49]
     assert stats.distance_evals == 0

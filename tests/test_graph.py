@@ -7,7 +7,9 @@ from conftest import keys, prim_msf
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomst import Edge, EdgeList, SplitMix64, UnionFind, UsageError, edge_key, edge_order, kruskal
+import numpy as np
+
+from geomst import Edge, EdgeList, SplitMix64, UnionFind, UsageError, edge_key, kruskal
 
 edges_st = st.lists(
     st.tuples(
@@ -19,21 +21,27 @@ edges_st = st.lists(
 ).map(lambda ts: [Edge(u, v, w) for u, v, w in ts])
 
 
+def order(*edges):
+    """The (w, u, v) keys of edges in the order an EdgeList holds them."""
+    return [(e.w, e.u, e.v) for e in EdgeList.of(edges)]
+
+
 def test_order_breaks_weight_ties_by_endpoints():
-    assert edge_order(Edge(0, 1, 2.0), Edge(2, 3, 2.0)) == -1
-    assert edge_order(Edge(2, 3, 2.0), Edge(0, 1, 2.0)) == 1
+    assert order(Edge(0, 1, 2.0), Edge(2, 3, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
+    assert order(Edge(2, 3, 2.0), Edge(0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
 
 
 def test_order_weight_dominates():
-    assert edge_order(Edge(0, 5, 1.0), Edge(0, 1, 3.0)) == -1
+    assert order(Edge(0, 1, 3.0), Edge(0, 5, 1.0)) == [(1.0, 0, 5), (3.0, 0, 1)]
 
 
 def test_order_identical_edges_compare_equal():
-    assert edge_order(Edge(1, 2, 4.0), Edge(1, 2, 4.0)) == 0
+    assert order(Edge(1, 2, 4.0), Edge(2, 1, 4.0)) == [(4.0, 1, 2), (4.0, 1, 2)]
+    assert EdgeList.of([Edge(1, 2, 4.0)]) == EdgeList.of([Edge(2, 1, 4.0)])
 
 
 def test_order_second_endpoint_is_final_tiebreak():
-    assert edge_order(Edge(0, 1, 2.0), Edge(0, 3, 2.0)) == -1
+    assert order(Edge(0, 3, 2.0), Edge(0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 0, 3)]
 
 
 def test_edge_canonicalizes_endpoints():
@@ -56,7 +64,7 @@ def test_kruskal_triangle_drops_heaviest_cycle_edge():
 
 
 def test_kruskal_empty_candidates_give_empty_forest():
-    assert len(kruskal(EdgeList([]), 4)) == 0
+    assert len(kruskal(EdgeList.of([]), 4)) == 0
 
 
 def test_kruskal_rejects_out_of_range_endpoints():
@@ -176,18 +184,56 @@ def test_kruskal_matches_scan_prim_on_random_multigraphs(edges):
     assert keys(kruskal(edges, 10)) == prim_msf(edges, 10)
 
 
-def test_edgelist_dedup_keeps_first_occurrence():
-    edges = EdgeList([Edge(0, 1, 2.0), Edge(1, 0, 5.0), Edge(1, 2, 1.0), Edge(0, 1, 2.0)])
-    kept = edges.dedup()
-    assert [(e.u, e.v, e.w) for e in kept] == [(0, 1, 2.0), (1, 2, 1.0)]
-    pairs = [(e.u, e.v) for e in kept]
-    assert len(pairs) == len(set(pairs))
-
-
 def test_edgelist_sorted_and_total_weight():
-    el = EdgeList([Edge(2, 3, 1.0), Edge(0, 1, 1.0), Edge(0, 2, 0.5)])
-    assert keys(el.sorted()) == [(0.5, 0, 2), (1.0, 0, 1), (1.0, 2, 3)]
+    el = EdgeList.of([Edge(2, 3, 1.0), Edge(0, 1, 1.0), Edge(0, 2, 0.5)])
+    assert [(e.w, e.u, e.v) for e in el] == [(0.5, 0, 2), (1.0, 0, 1), (1.0, 2, 3)]
     assert el.total_weight() == 2.5
+
+
+def test_edgelist_arrays_are_canonical_ordered_and_read_only():
+    el = EdgeList([3, 0, 4], [1, 2, 0], [1.0, 1.0, 0.5])
+    assert el.u.dtype == np.int64 and el.v.dtype == np.int64 and el.w.dtype == np.float64
+    assert el.u.tolist() == [0, 0, 1] and el.v.tolist() == [4, 2, 3]
+    assert el.w.tolist() == [0.5, 1.0, 1.0]
+    assert el == EdgeList.of(el.edges) and el != EdgeList([0], [2], [1.0])
+    assert el.edges + el.edges == list(el) * 2
+    with pytest.raises(ValueError):
+        el.w[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "u, v, w, match",
+    [
+        ([1], [1], [1.0], "self-loop edge on vertex 1"),
+        ([0], [1], [float("nan")], "must be finite, got nan"),
+        ([0, 2], [1, 3], [1.0, float("inf")], "must be finite, got inf"),
+        ([0, 1], [1], [1.0, 2.0], "one length"),
+    ],
+)
+def test_edgelist_rejects_invalid_arrays(u, v, w, match):
+    with pytest.raises(UsageError, match=match):
+        EdgeList(u, v, w)
+
+
+def test_concat_keeps_every_edge_in_order():
+    a = EdgeList.of([Edge(0, 1, 2.0), Edge(1, 2, 1.0)])
+    b = EdgeList.of([Edge(0, 1, 2.0), Edge(0, 2, 0.5)])
+    joined = EdgeList.concat([a, b])
+    assert [(e.w, e.u, e.v) for e in joined] == [(0.5, 0, 2), (1.0, 1, 2), (2.0, 0, 1), (2.0, 0, 1)]
+    assert keys(kruskal(joined, 3)) == [(0.5, 0, 2), (1.0, 1, 2)]
+
+
+@pytest.mark.parametrize("big", [10**7, 2**40, 2**62])
+def test_kruskal_compacts_sparse_vertex_ids(big):
+    # Union-find runs over the ids that occur, not over max(id) + 1 slots.
+    dense = [Edge(0, 1, 1.0), Edge(1, 2, 2.0), Edge(0, 2, 3.0), Edge(2, 3, 1.5)]
+    relabel = {0: 0, 1: 1, 2: 2, 3: big}
+    sparse = [Edge(relabel[e.u], relabel[e.v], e.w) for e in dense]
+    expected = [(w, relabel[u], relabel[v]) for w, u, v in keys(kruskal(dense, 4))]
+    assert keys(kruskal(sparse)) == expected
+    assert keys(kruskal(sparse, big + 1)) == expected
+    with pytest.raises(UsageError, match="lies outside"):
+        kruskal(sparse, big)
 
 
 def test_union_find_idempotent_find_and_union_semantics():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomst import (
+    DataError,
     METRIC_NAMES,
     Metric,
     PointSet,
@@ -15,7 +16,6 @@ from geomst import (
     check_substructure,
     dense_mst,
     generate_instance,
-    induced_mst,
     oracle_mst,
 )
 
@@ -70,18 +70,18 @@ def test_cap_refused_and_overridable():
 def test_induced_full_subset_equals_whole():
     pts = generate_instance(5, 25, 4, "gaussian")
     m = Metric("manhattan")
-    assert keys(induced_mst(pts, m, list(range(25)))) == keys(oracle_mst(pts, m))
+    assert keys(oracle_mst(pts, m, subset=list(range(25)))) == keys(oracle_mst(pts, m))
 
 
 def test_induced_singleton_is_empty():
     pts = generate_instance(5, 25, 4, "gaussian")
-    assert len(induced_mst(pts, Metric("euclidean"), [7])) == 0
+    assert len(oracle_mst(pts, Metric("euclidean"), subset=[7])) == 0
 
 
 def test_induced_rejects_invalid_indices():
     pts = generate_instance(5, 10, 2, "gaussian")
     with pytest.raises(UsageError):
-        induced_mst(pts, Metric("euclidean"), [0, 10])
+        oracle_mst(pts, Metric("euclidean"), subset=[0, 10])
 
 
 def test_restriction_of_whole_tree_lies_inside_induced_tree():
@@ -91,12 +91,20 @@ def test_restriction_of_whole_tree_lies_inside_induced_tree():
     SplitMix64(5).shuffle(order)
     subset = sorted(order[:15])
     whole = oracle_mst(pts, m)
-    induced = set(keys(induced_mst(pts, m, subset)))
+    induced = set(keys(oracle_mst(pts, m, subset=subset)))
     inside = set(subset)
     restricted = [e for e in whole if e.u in inside and e.v in inside]
     assert restricted, "subset too scattered to exercise the property"
     for e in restricted:
         assert (e.w, e.u, e.v) in induced
+
+
+def test_overflowing_distance_is_a_data_error_naming_the_pair():
+    # 0 and 2e154 are 4e308 apart squared, beyond the largest double; the
+    # other two pairs stay finite, so the tree itself would not need inf.
+    pts = PointSet([[0.0], [1e154], [2e154]], ids=[4, 7, 9])
+    with pytest.raises(DataError, match="between points 4 and 9 is inf"):
+        oracle_mst(pts, Metric("euclidean"))
 
 
 def test_containment_trivial_subsets():
