@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DataError, MetricDomainError, UsageError
 from .stats import RunStats
 
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
 METRIC_NAMES = (
     "euclidean",
     "squared_euclidean",
@@ -82,10 +85,7 @@ class PointSet:
     def norms(self) -> np.ndarray:
         """Euclidean norm of every point, computed once and cached."""
         if self._norms is None:
-            sq = self._coords * self._coords
-            norms = np.sqrt(np.sum(sq, axis=1))
-            norms.setflags(write=False)
-            self._norms = norms
+            self._norms, self._units = _unit_rows(self._coords)
         return self._norms
 
     @property
@@ -96,15 +96,38 @@ class PointSet:
         cosine evaluation can touch them.
         """
         if self._units is None:
-            norms = self.norms
-            divisor = np.where(norms == 0.0, 1.0, norms)
-            units = self._coords / divisor[:, None]
-            units.setflags(write=False)
-            self._units = units
+            self._norms, self._units = _unit_rows(self._coords)
         return self._units
 
     def __repr__(self) -> str:
         return f"PointSet(count={self.count}, dim={self.dim})"
+
+
+@np.errstate(over="ignore")
+def _unit_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean norms and unit-norm rows of an (n, d) array, both read-only.
+
+    A row whose squared sum is a finite normal number is divided by the
+    square root of that sum. A row whose squared sum overflows or underflows
+    (coordinates beyond about 1e154 or all below about 1e-154) but which is
+    not all zeros is first scaled by the power of two that brings its largest
+    |x| into [0.5, 1); the scaling is exact, so its unit row is as accurate as
+    any other, and its norm is scaled back (inf where it exceeds the largest
+    double). Zero rows get norm 0 and stay zero.
+    """
+    sq = np.sum(coords * coords, axis=1)
+    norms = np.sqrt(sq)
+    units = coords / np.where(norms == 0.0, 1.0, norms)[:, None]
+    redo = ~((sq >= _TINY) & (sq <= _HUGE)) & coords.any(axis=1)
+    if redo.any():
+        _, exp = np.frexp(np.abs(coords[redo]).max(axis=1))
+        scaled = np.ldexp(coords[redo], -exp[:, None])
+        scaled_norms = np.sqrt(np.sum(scaled * scaled, axis=1))
+        norms[redo] = np.ldexp(scaled_norms, exp)
+        units[redo] = scaled / scaled_norms[:, None]
+    norms.setflags(write=False)
+    units.setflags(write=False)
+    return norms, units
 
 
 def subset_indices(points: PointSet, subset=None) -> np.ndarray:
@@ -211,12 +234,9 @@ def distance(metric: Metric, a, b, stats: RunStats | None = None) -> float:
     if av.size == 0:
         raise UsageError("vectors need at least one dimension")
     if metric.kind == "cosine_distance":
-        na = float(np.sqrt(np.sum(av * av)))
-        nb = float(np.sqrt(np.sum(bv * bv)))
-        if na == 0.0 or nb == 0.0:
+        norms, (av, bv) = _unit_rows(np.stack((av, bv)))
+        if not norms.all():
             raise MetricDomainError("cosine_distance is undefined for the zero vector")
-        av = av / na
-        bv = bv / nb
     value = float(metric.block(av, bv.reshape(1, -1))[0])
     if stats is not None:
         stats.distance_evals += 1

@@ -12,12 +12,11 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, subset_indices
-from .graph import EdgeList, kruskal
+from .graph import EdgeList, UnionFind, kruskal
 
 DEFAULT_MAX_POINTS = 2048
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def oracle_mst(
     points: PointSet,
     metric: Metric,
@@ -26,7 +25,28 @@ def oracle_mst(
 ) -> EdgeList:
     """MSF of the explicit complete graph on points[subset], global ids preserved.
 
-    Raises DataError naming the first pair whose distance overflows.
+    Pairs whose distance overflows take no part in Kruskal. Only when the
+    tree needs one of them does this raise DataError, naming the first such
+    pair in (u, v) order that joins two components of the finite forest.
+    """
+    forest, gid, over = _finite_forest(points, metric, subset, max_points)
+    if len(forest) < gid.size - 1:
+        slot = {g: i for i, g in enumerate(gid.tolist())}
+        union = UnionFind(len(slot)).union
+        for a, b, _ in forest.triples():
+            union(slot[a], slot[b])
+        for a, b, x in zip(*(arr.tolist() for arr in over)):
+            if union(slot[a], slot[b]):
+                raise DataError(f"distance between points {a} and {b} is {x!r} (overflow)")
+    return forest
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_forest(points: PointSet, metric: Metric, subset, max_points: int):
+    """MSF of the finite-distance pairs of points[subset], the ids, and the other pairs.
+
+    The overflowing pairs come back as (u, v, w) arrays with u < v, in (u, v)
+    order.
     """
     idx = subset_indices(points, subset)
     m = int(idx.size)
@@ -34,30 +54,32 @@ def oracle_mst(
         raise UsageError(
             f"oracle refuses {m} points (cap {max_points}); pass max_points to override"
         )
+    gid = points.ids[idx]
     if m <= 1:
-        return EdgeList()
+        return EdgeList(), gid, ()
     metric.check_domain(points, idx)
     mat = metric.prepared(points)[idx]
-    gid = points.ids[idx]
     w = np.concatenate([metric.block(mat[a], mat[a + 1 :]) for a in range(m - 1)])
     iu, iv = np.triu_indices(m, 1)  # row a's block holds the pairs (a, a+1..m-1)
     u, v = gid[iu], gid[iv]
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        i = bad[0]
-        raise DataError(f"distance between points {u[i]} and {v[i]} is {float(w[i])!r} (overflow)")
-    return kruskal(EdgeList(u, v, w))
+    ok = np.isfinite(w)
+    bad = ~ok
+    lo, hi = np.minimum(u[bad], v[bad]), np.maximum(u[bad], v[bad])
+    order = np.lexsort((hi, lo))
+    return kruskal(EdgeList(u[ok], v[ok], w[ok])), gid, (lo[order], hi[order], w[bad][order])
 
 
 def check_substructure(points: PointSet, metric: Metric, subset) -> bool:
     """True iff every whole-graph MSF edge inside subset appears in the subset's own MSF.
 
     A False return is a failed optimal-substructure property, never expected
-    behavior under the tie-break total order.
+    behavior under the tie-break total order. Both sides are the forests of
+    the finite-distance pairs, so a subset whose own tree would need an
+    overflowing pair is still checked; the property holds for any graph.
     """
     idx = subset_indices(points, subset)
-    whole = oracle_mst(points, metric)
-    sub = oracle_mst(points, metric, subset=idx)
+    whole = _finite_forest(points, metric, None, DEFAULT_MAX_POINTS)[0]
+    sub = _finite_forest(points, metric, idx, DEFAULT_MAX_POINTS)[0]
     inside = points.ids[idx]
     mask = np.isin(whole.u, inside) & np.isin(whole.v, inside)
     restricted = EdgeList(whole.u[mask], whole.v[mask], whole.w[mask])

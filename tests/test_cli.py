@@ -465,6 +465,20 @@ def test_overflowing_distance_is_a_data_error(tmp_path):
     assert "RuntimeWarning" not in done.stderr
 
 
+def test_verify_passes_where_only_a_pair_outside_the_tree_overflows(tmp_path):
+    # 0 and 2e154 overflow when squared, but the tree joins both through 1e154;
+    # the default 20 subset trials include the subset {0, 2}.
+    path = tmp_path / "wide.csv"
+    write_points(PointSet([[0.0], [1e154], [2e154]]), str(path))
+    done = _python_m(["geomst", "mst", "--input", str(path), "--workers", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    done = _python_m(["geomst", "verify", "--input", str(path), "--workers", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 21 and all(line.startswith("PASS ") for line in lines)
+    assert done.stderr == ""
+
+
 def _python_m(args, cwd):
     src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
     env = dict(os.environ)

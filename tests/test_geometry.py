@@ -1,5 +1,9 @@
 """Point storage and metric semantics: pinned values, symmetry, domains."""
 
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -18,6 +22,7 @@ from geomst import (
     dense_mst,
     distance,
     generate_instance,
+    oracle_mst,
     subset_indices,
 )
 
@@ -179,15 +184,42 @@ def test_unit_coords_have_unit_norm():
     assert np.allclose(norms, 1.0, atol=1e-15)
 
 
+def _left_to_right(metric, a, rows):
+    """Metric values from a plain Python left-to-right fold of the per-coordinate terms."""
+    out = []
+    for row in rows.tolist():
+        diffs = [x - y for x, y in zip(row, a.tolist())]
+        if metric.kind == "chebyshev":
+            out.append(max(abs(t) for t in diffs))
+            continue
+        if metric.kind == "manhattan":
+            total = reduce(operator.add, [abs(t) for t in diffs])
+        else:
+            total = reduce(operator.add, [t * t for t in diffs])
+        if metric.kind == "euclidean":
+            total = math.sqrt(total)
+        elif metric.kind == "cosine_distance":
+            total = 0.5 * total
+        out.append(total)
+    return out
+
+
 def test_block_matches_scalar_distance_bit_for_bit():
-    # one row against a block must equal the scalar wrapper pair by pair
-    pts = generate_instance(13, 30, 7, "gaussian")
-    for name in METRIC_NAMES:
-        m = Metric(name)
-        prepared = m.prepared(pts)
-        got = m.block(prepared[4], prepared[10:20])
-        expected = [distance(m, pts.coords[4], pts.coords[j]) for j in range(10, 20)]
-        assert got.tolist() == expected
+    # one row against a block must equal the scalar wrapper pair by pair,
+    # whether the block is row-major or a column-major copy (as the dense
+    # kernel holds it below d = 8), and below d = 8 both must equal a plain
+    # left-to-right sum over the coordinates
+    for d in range(1, 8):
+        pts = generate_instance(13, 30, d, "gaussian")
+        for name in METRIC_NAMES:
+            m = Metric(name)
+            prepared = m.prepared(pts)
+            fortran = np.asfortranarray(prepared)
+            for hi in (20, 11):
+                expected = [distance(m, pts.coords[4], pts.coords[j]) for j in range(10, hi)]
+                assert m.block(prepared[4], prepared[10:hi]).tolist() == expected, (d, name)
+                assert m.block(fortran[4], fortran[10:hi]).tolist() == expected, (d, name)
+                assert _left_to_right(m, prepared[4], prepared[10:hi]) == expected, (d, name)
 
 
 def test_block_values_do_not_depend_on_block_shape():
@@ -199,3 +231,50 @@ def test_block_values_do_not_depend_on_block_shape():
         for lo, hi in [(1, 2), (1, 25), (17, 50), (49, 50)]:
             part = m.block(prepared[0], prepared[lo:hi])
             assert part.tolist() == whole[lo - 1 : hi - 1].tolist()
+    # below d = 8 the same holds for column-major blocks, width 1 included
+    for d in range(1, 8):
+        pts = generate_instance(29 + d, 50, d, "gaussian")
+        for name in METRIC_NAMES:
+            m = Metric(name)
+            prepared = m.prepared(pts)
+            fortran = np.asfortranarray(prepared)
+            whole = m.block(prepared[0], prepared[1:]).tolist()
+            assert whole == _left_to_right(m, prepared[0], prepared[1:]), (d, name)
+            for lo, hi in [(1, 2), (1, 25), (17, 50), (49, 50)]:
+                part = m.block(fortran[0], fortran[lo:hi])
+                assert part.tolist() == whole[lo - 1 : hi - 1], (d, name, lo, hi)
+
+
+def test_cosine_tree_does_not_depend_on_a_power_of_two_scale():
+    # Coordinates near 2^600 overflow a squared sum and near 2^-600 underflow
+    # it; such rows are normalized from an exactly rescaled copy instead.
+    m = Metric("cosine_distance")
+    for seed, d in [(41, 2), (42, 5), (43, 64)]:
+        coords = generate_instance(seed, 40, d, "gaussian").coords
+        base = dense_mst(PointSet(coords), m)
+        for scale in (600, -600):
+            tree = dense_mst(PointSet(np.ldexp(coords, scale)), m)
+            assert [(e.u, e.v) for e in tree] == [(e.u, e.v) for e in base], (d, scale)
+            assert np.allclose(tree.w, base.w, rtol=1e-12, atol=0.0), (d, scale)
+            assert tree == oracle_mst(PointSet(np.ldexp(coords, scale)), m)
+
+
+def test_cosine_on_huge_coordinates_is_one_minus_cosine():
+    # Points 0 and 2 are orthogonal up to 1e-154; their distance is 1, not 0.
+    m = Metric("cosine_distance")
+    coords = [[3e154, 1.0], [3e154, 2.0], [1.0, 3e154], [2.0, 1.0]]
+    assert distance(m, coords[0], coords[2]) == pytest.approx(1.0, abs=1e-15)
+    tree = dense_mst(PointSet(coords), m)
+    assert [(e.u, e.v) for e in tree] == [(0, 1), (0, 3), (2, 3)]
+    assert tree.w[2] == pytest.approx(1.0 - 1.0 / math.sqrt(5.0), rel=1e-12)
+    assert tree == oracle_mst(PointSet(coords), m)
+
+
+def test_cosine_on_tiny_coordinates_is_not_a_zero_vector():
+    # 1e-170 squared underflows to 0, yet neither point is the zero vector.
+    m = Metric("cosine_distance")
+    tiny = PointSet([[1e-170, 0.0], [0.0, 1e-170], [1.0, 1.0]])
+    plain = PointSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert dense_mst(tiny, m) == dense_mst(plain, m)
+    assert distance(m, (1e-170, 0.0), (0.0, 1e-170)) == 1.0
+    assert tiny.norms.tolist() == [1e-170, 1e-170, math.sqrt(2.0)]

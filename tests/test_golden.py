@@ -5,7 +5,9 @@ gaussian instance. Every (k, merge) combination must reproduce the same
 bytes, so one hash per (d, metric) covers the whole-set kernel (k = 1) and
 both merges over six block-pair tasks (k = 4). A change to the dense kernel
 or to the distance routine that moves a single weight bit, or the order of
-two tied edges, fails here.
+two tied edges, fails here. Below d = 8 the dense kernel works on a
+column-major copy of the points; the d = 2 hashes, recorded when it was
+row-major, also pin that layout.
 
 The hashes were recorded with numpy 2.4.6 (Python 3.11, x86_64). They also
 pin bits this package does not define yet: numpy's own summation order in

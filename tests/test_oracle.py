@@ -99,12 +99,27 @@ def test_restriction_of_whole_tree_lies_inside_induced_tree():
         assert (e.w, e.u, e.v) in induced
 
 
-def test_overflowing_distance_is_a_data_error_naming_the_pair():
+def test_overflowing_pair_the_tree_does_not_need_is_left_out():
     # 0 and 2e154 are 4e308 apart squared, beyond the largest double; the
-    # other two pairs stay finite, so the tree itself would not need inf.
+    # other two pairs stay finite, so the tree does not need the inf pair
+    # and comes out as the dense kernel's.
     pts = PointSet([[0.0], [1e154], [2e154]], ids=[4, 7, 9])
-    with pytest.raises(DataError, match="between points 4 and 9 is inf"):
+    m = Metric("euclidean")
+    tree = oracle_mst(pts, m)
+    assert keys(tree) == [(1e154, 4, 7), (1e154, 7, 9)]
+    assert tree == dense_mst(pts, m)
+    assert check_substructure(pts, m, [0, 2])
+
+
+def test_overflowing_distance_is_a_data_error_naming_the_pair():
+    # Points 9 and 2 lie 3e154 from points 7 and 4, so every pair that joins
+    # the two clusters overflows; the first in (u, v) order is named, not
+    # the first in input order.
+    pts = PointSet([[3e154], [0.0], [1.0], [3e154]], ids=[9, 7, 4, 2])
+    with pytest.raises(DataError, match="between points 2 and 4 is inf"):
         oracle_mst(pts, Metric("euclidean"))
+    with pytest.raises(DataError, match="between points 4 and 9 is inf"):
+        oracle_mst(pts, Metric("euclidean"), subset=[0, 1, 2])
 
 
 def test_containment_trivial_subsets():
