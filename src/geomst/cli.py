@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         order = list(range(n))
         rng.shuffle(order)
         subset = sorted(order[:size])
-        ok = check_substructure(points, metric, subset)
+        ok = check_substructure(points, metric, subset, whole=reference)
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} subset-containment trial {t} (size {size})")
 

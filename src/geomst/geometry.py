@@ -28,6 +28,16 @@ METRIC_NAMES = (
 )
 
 
+def _has_repeats(values: np.ndarray) -> bool:
+    """True iff some value occurs twice.
+
+    A sort and an adjacent comparison, not np.unique, which imports numpy.ma
+    on first use and costs every fresh worker process that import.
+    """
+    s = np.sort(values)
+    return bool((s[1:] == s[:-1]).any())
+
+
 class PointSet:
     """Immutable set of n points in R^d with global vertex ids.
 
@@ -56,7 +66,7 @@ class PointSet:
                 raise UsageError("ids must be one id per point")
             if id_arr.size and id_arr.min() < 0:
                 raise UsageError("ids must be non-negative")
-            if np.unique(id_arr).size != id_arr.size:
+            if _has_repeats(id_arr):
                 raise UsageError("ids must be pairwise distinct")
         arr.setflags(write=False)
         id_arr.setflags(write=False)
@@ -140,7 +150,7 @@ def subset_indices(points: PointSet, subset=None) -> np.ndarray:
     if idx.size:
         if idx.min() < 0 or idx.max() >= points.count:
             raise UsageError(f"subset index out of range for {points.count} points")
-        if np.unique(idx).size != idx.size:
+        if _has_repeats(idx):
             raise UsageError("subset indices must be distinct")
     return idx
 

@@ -151,12 +151,19 @@ def kruskal(candidates: EdgeList | Iterable[Edge], n: int | None = None) -> Edge
     Union-find runs over the endpoint ids that occur, compacted to 0..r-1, so
     sparse or huge ids cost nothing; n, when given, only bounds the ids.
     Duplicate pairs are harmless: the second copy closes a two-edge cycle.
+    The scan stops at the (r-1)-th kept edge: the forest then spans all r ids,
+    so no later candidate can join two components.
     """
     el = candidates if isinstance(candidates, EdgeList) else EdgeList.of(candidates)
     if n is not None:
         el.check_range(n)
     ids, slot = np.unique(np.concatenate((el.u, el.v)), return_inverse=True)
     union = UnionFind(ids.size).union
-    half = len(el)
-    keep = np.array([union(a, b) for a, b in zip(slot[:half].tolist(), slot[half:].tolist())], bool)
+    half, spanning = len(el), ids.size - 1
+    keep = []
+    for i, a, b in zip(range(half), slot[:half].tolist(), slot[half:].tolist()):
+        if union(a, b):
+            keep.append(i)
+            if len(keep) == spanning:
+                break
     return EdgeList(el.u[keep], el.v[keep], el.w[keep])

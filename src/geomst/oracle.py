@@ -69,16 +69,21 @@ def _finite_forest(points: PointSet, metric: Metric, subset, max_points: int):
     return kruskal(EdgeList(u[ok], v[ok], w[ok])), gid, (lo[order], hi[order], w[bad][order])
 
 
-def check_substructure(points: PointSet, metric: Metric, subset) -> bool:
+def check_substructure(
+    points: PointSet, metric: Metric, subset, whole: EdgeList | None = None
+) -> bool:
     """True iff every whole-graph MSF edge inside subset appears in the subset's own MSF.
 
     A False return is a failed optimal-substructure property, never expected
     behavior under the tie-break total order. Both sides are the forests of
     the finite-distance pairs, so a subset whose own tree would need an
     overflowing pair is still checked; the property holds for any graph.
+    whole, when given, is that whole-graph forest as oracle_mst returned it,
+    so repeated checks on one point set build it only once.
     """
     idx = subset_indices(points, subset)
-    whole = _finite_forest(points, metric, None, DEFAULT_MAX_POINTS)[0]
+    if whole is None:
+        whole = _finite_forest(points, metric, None, DEFAULT_MAX_POINTS)[0]
     sub = _finite_forest(points, metric, idx, DEFAULT_MAX_POINTS)[0]
     inside = points.ids[idx]
     mask = np.isin(whole.u, inside) & np.isin(whole.v, inside)

@@ -323,6 +323,25 @@ def test_verify_flags_containment_failure_with_exit_three(square_csv, capsys, mo
     assert all(line.startswith("FAIL subset-containment") for line in lines[1:])
 
 
+def test_verify_builds_the_whole_forest_once_and_one_subset_forest_per_trial(
+    square_csv, capsys, monkeypatch
+):
+    subsets = []
+    build = geomst.oracle._finite_forest
+
+    def counted(points, metric, subset, max_points):
+        subsets.append(subset)
+        return build(points, metric, subset, max_points)
+
+    monkeypatch.setattr(geomst.oracle, "_finite_forest", counted)
+    code, out, _ = run(
+        ["verify", "--input", square_csv, "--workers", "1", "--trials", "5"], capsys
+    )
+    assert code == 0
+    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert [s is None for s in subsets] == [True] + [False] * 5
+
+
 def test_verify_negative_trials_rejected(square_csv, capsys):
     code, _, err = run(["verify", "--input", square_csv, "--trials", "-1"], capsys)
     assert code == 1

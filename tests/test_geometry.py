@@ -2,6 +2,9 @@
 
 import math
 import operator
+import os
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import geomst
 from geomst import (
     METRIC_NAMES,
     DataError,
@@ -152,8 +156,8 @@ def test_pointset_rejects_bad_shapes_and_ids():
         PointSet([1.0, 2.0])
     with pytest.raises(UsageError):
         PointSet(np.zeros((3, 0)))
-    with pytest.raises(UsageError):
-        PointSet(np.zeros((2, 2)), ids=[1, 1])
+    with pytest.raises(UsageError, match="ids must be pairwise distinct"):
+        PointSet(np.zeros((3, 2)), ids=[7, 2, 7])
     with pytest.raises(UsageError):
         PointSet(np.zeros((2, 2)), ids=[-1, 0])
     with pytest.raises(UsageError):
@@ -172,10 +176,34 @@ def test_subset_indices_validation():
         subset_indices(pts, [0, 4])
     with pytest.raises(UsageError):
         subset_indices(pts, [-1])
-    with pytest.raises(UsageError):
-        subset_indices(pts, [1, 1])
+    with pytest.raises(UsageError, match="subset indices must be distinct"):
+        subset_indices(pts, [1, 3, 1])
     with pytest.raises(UsageError):
         subset_indices(pts, [[0, 1]])
+
+
+def test_kernel_and_oracle_paths_leave_numpy_ma_unimported():
+    # np.unique without return_inverse imports numpy.ma (15-40 ms) on first
+    # use, which every fresh worker process would pay on its first task.
+    script = (
+        "import sys\n"
+        "from geomst import Metric, check_substructure, decomposed_mst, generate_instance,"
+        " make_partition, oracle_mst\n"
+        "pts = generate_instance(5, 40, 3, 'gaussian')\n"
+        "m = Metric('manhattan')\n"
+        "decomposed_mst(pts, m, make_partition(40, 3, 'contiguous', 0), 'gather', 1)\n"
+        "whole = oracle_mst(pts, m)\n"
+        "assert check_substructure(pts, m, [1, 4, 9, 30], whole=whole)\n"
+        "assert check_substructure(pts, m, [0, 2, 39])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_unit_coords_have_unit_norm():
@@ -184,8 +212,31 @@ def test_unit_coords_have_unit_norm():
     assert np.allclose(norms, 1.0, atol=1e-15)
 
 
-def _left_to_right(metric, a, rows):
-    """Metric values from a plain Python left-to-right fold of the per-coordinate terms."""
+def _fold(terms):
+    """A plain left-to-right sum."""
+    return reduce(operator.add, terms)
+
+
+def _pairwise(terms):
+    """The summation order README "Guarantees" defines for d >= 8 (numpy's pairwise sum)."""
+    n = len(terms)
+    if n < 8:
+        return _fold(terms)
+    if n <= 128:
+        r = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [lane + t for lane, t in zip(r, terms[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return _fold([total, *terms[n - n % 8 :]])
+    half = n // 2 // 8 * 8
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def _model_block(metric, a, rows, add_up=_fold):
+    """Metric values from plain Python arithmetic on the per-coordinate terms.
+
+    add_up sums each row's terms; the default is a left-to-right fold.
+    """
     out = []
     for row in rows.tolist():
         diffs = [x - y for x, y in zip(row, a.tolist())]
@@ -193,9 +244,9 @@ def _left_to_right(metric, a, rows):
             out.append(max(abs(t) for t in diffs))
             continue
         if metric.kind == "manhattan":
-            total = reduce(operator.add, [abs(t) for t in diffs])
+            total = add_up([abs(t) for t in diffs])
         else:
-            total = reduce(operator.add, [t * t for t in diffs])
+            total = add_up([t * t for t in diffs])
         if metric.kind == "euclidean":
             total = math.sqrt(total)
         elif metric.kind == "cosine_distance":
@@ -219,7 +270,23 @@ def test_block_matches_scalar_distance_bit_for_bit():
                 expected = [distance(m, pts.coords[4], pts.coords[j]) for j in range(10, hi)]
                 assert m.block(prepared[4], prepared[10:hi]).tolist() == expected, (d, name)
                 assert m.block(fortran[4], fortran[10:hi]).tolist() == expected, (d, name)
-                assert _left_to_right(m, prepared[4], prepared[10:hi]) == expected, (d, name)
+                assert _model_block(m, prepared[4], prepared[10:hi]) == expected, (d, name)
+
+
+def test_block_sums_in_the_defined_pairwise_order_from_d_8():
+    # From d = 8 row-major blocks follow the order README "Guarantees"
+    # states; a numpy that reduces differently fails here by name.
+    for d in (8, 9, 15, 16, 17, 64, 100, 127, 128, 129, 200, 256, 300, 768, 1000):
+        pts = generate_instance(d, 41, d, "gaussian")
+        for name in METRIC_NAMES:
+            if name == "chebyshev":
+                continue
+            m = Metric(name)
+            prepared = m.prepared(pts)
+            expected = _model_block(m, prepared[0], prepared[1:], _pairwise)
+            assert m.block(prepared[0], prepared[1:]).tolist() == expected, (d, name)
+            # the rows tell the two orders apart, so the check has teeth
+            assert expected != _model_block(m, prepared[0], prepared[1:]), (d, name)
 
 
 def test_block_values_do_not_depend_on_block_shape():
@@ -239,7 +306,7 @@ def test_block_values_do_not_depend_on_block_shape():
             prepared = m.prepared(pts)
             fortran = np.asfortranarray(prepared)
             whole = m.block(prepared[0], prepared[1:]).tolist()
-            assert whole == _left_to_right(m, prepared[0], prepared[1:]), (d, name)
+            assert whole == _model_block(m, prepared[0], prepared[1:]), (d, name)
             for lo, hi in [(1, 2), (1, 25), (17, 50), (49, 50)]:
                 part = m.block(fortran[0], fortran[lo:hi])
                 assert part.tolist() == whole[lo - 1 : hi - 1], (d, name, lo, hi)

@@ -10,12 +10,14 @@ column-major copy of the points; the d = 2 hashes, recorded when it was
 row-major, also pin that layout.
 
 The hashes were recorded with numpy 2.4.6 (Python 3.11, x86_64). They also
-pin bits this package does not define yet: numpy's own summation order in
-`sum(axis=1)` at d = 64 and 300, and the bits of numpy's `log` and `cos`,
-which turn the package's SplitMix64 uniforms into the gaussian instances.
-A numpy build or version that changes either fails these tests without
-a fault in this package, until the package defines its own reduction
-order (ROADMAP direction 4).
+pin bits this package does not compute itself: numpy's summation order in
+`sum(axis=1)` at d = 64 and 300, which README "Guarantees" states as the
+package's definition and `tests/test_geometry.py` checks against a Python
+model, and the bits of numpy's `log` and `cos`, which turn the package's
+SplitMix64 uniforms into the gaussian instances. A numpy build or version
+that changes either fails these tests without a fault in this package,
+until the package carries out its summation order itself (ROADMAP
+direction 2).
 """
 
 import hashlib

@@ -1,6 +1,7 @@
 """Edge order, union-find and Kruskal: pinned cases, oracles, properties."""
 
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from conftest import keys, prim_msf
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from geomst import Edge, EdgeList, SplitMix64, UnionFind, UsageError, edge_key, kruskal
+from geomst import Edge, EdgeList, SplitMix64, UnionFind, UsageError, edge_key, graph, kruskal
 
 edges_st = st.lists(
     st.tuples(
@@ -182,6 +183,54 @@ def test_kruskal_ignores_candidate_order(edges, seed):
 @given(edges=edges_st)
 def test_kruskal_matches_scan_prim_on_random_multigraphs(edges):
     assert keys(kruskal(edges, 10)) == prim_msf(edges, 10)
+
+
+SPARSE_IDS = [0, 1, 2, 3, 5, 8, 13, 10**9, 2**40, 2**62]
+
+sparse_multigraphs = st.lists(
+    st.tuples(
+        st.sampled_from(SPARSE_IDS),
+        st.sampled_from(SPARSE_IDS),
+        st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.25]),
+    ).filter(lambda t: t[0] != t[1]),
+    max_size=40,
+).map(lambda ts: EdgeList(*zip(*ts)))
+
+
+def _full_scan(el):
+    """Kruskal over every candidate with a dict union-find: (forest keys, kept positions)."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    kept, positions = [], []
+    for i, (u, v, w) in enumerate(el.triples()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            kept.append((w, u, v))
+            positions.append(i)
+    return kept, positions
+
+
+@given(el=sparse_multigraphs)
+def test_early_exit_kruskal_equals_a_full_scan_and_stops_at_the_last_tree_edge(el):
+    calls = []
+
+    class CountingUnionFind(UnionFind):
+        def union(self, a, b):
+            calls.append((a, b))
+            return super().union(a, b)
+
+    with mock.patch.object(graph, "UnionFind", CountingUnionFind):
+        got = kruskal(el)
+    kept, positions = _full_scan(el)
+    assert [(e.w, e.u, e.v) for e in got] == kept
+    spans = len(kept) == len(set(el.u.tolist()) | set(el.v.tolist())) - 1
+    assert len(calls) == (positions[-1] + 1 if spans and kept else len(el))
 
 
 def test_edgelist_sorted_and_total_weight():

@@ -1,5 +1,7 @@
 """Brute-force oracle and the subset-containment property it certifies."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from conftest import keys, prim_msf
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomst import (
     DataError,
+    EdgeList,
     METRIC_NAMES,
     Metric,
     PointSet,
@@ -109,6 +112,7 @@ def test_overflowing_pair_the_tree_does_not_need_is_left_out():
     assert keys(tree) == [(1e154, 4, 7), (1e154, 7, 9)]
     assert tree == dense_mst(pts, m)
     assert check_substructure(pts, m, [0, 2])
+    assert check_substructure(pts, m, [0, 2], whole=tree)
 
 
 def test_overflowing_distance_is_a_data_error_naming_the_pair():
@@ -139,7 +143,22 @@ def test_containment_random_sweep(name):
         size = 2 + rng.below(n - 1)
         order = list(range(n))
         rng.shuffle(order)
-        assert check_substructure(pts, m, sorted(order[:size]))
+        subset = sorted(order[:size])
+        assert check_substructure(pts, m, subset)
+        assert check_substructure(pts, m, subset, whole=oracle_mst(pts, m))
+
+
+def test_containment_checks_the_whole_forest_it_is_given():
+    pts = generate_instance(8, 12, 3, "gaussian")
+    m = Metric("euclidean")
+    whole = oracle_mst(pts, m)
+    sub = oracle_mst(pts, m, subset=[0, 1, 2, 3])
+    assert check_substructure(pts, m, [0, 1, 2, 3], whole=whole)
+    # an edge inside the subset that the subset's own tree lacks must fail
+    tree_pairs = set(zip(sub.u.tolist(), sub.v.tolist()))
+    u, v = next(p for p in combinations(range(4), 2) if p not in tree_pairs)
+    extra = EdgeList.concat([whole, EdgeList([u], [v], [0.0])])
+    assert not check_substructure(pts, m, [0, 1, 2, 3], whole=extra)
 
 
 @given(
