@@ -18,11 +18,11 @@ from .decompose import (
     redundancy_factor,
     usable_cores,
 )
-from .dendrogram import Dendrogram, MergeStep, mst_to_dendrogram
+from .dendrogram import Dendrogram, mst_to_dendrogram
 from .dense import dense_mst
 from .errors import DataError, GeomstError, MetricDomainError, UsageError
 from .geometry import METRIC_NAMES, Metric, PointSet, distance, subset_indices
-from .graph import Edge, EdgeList, UnionFind, edge_key, kruskal
+from .graph import Edge, EdgeList, edge_key, kruskal, merges
 from .io import (
     POINT_FORMATS,
     detect_format,
@@ -51,7 +51,6 @@ __all__ = [
     "GeomstError",
     "METRIC_NAMES",
     "MERGE_STRATEGIES",
-    "MergeStep",
     "Metric",
     "MetricDomainError",
     "PARTITION_STRATEGIES",
@@ -60,7 +59,6 @@ __all__ = [
     "PointSet",
     "RunStats",
     "SplitMix64",
-    "UnionFind",
     "UsageError",
     "check_substructure",
     "decomposed_mst",
@@ -73,6 +71,7 @@ __all__ = [
     "generate_instance",
     "kruskal",
     "make_partition",
+    "merges",
     "mst_to_dendrogram",
     "oracle_mst",
     "read_edges",

@@ -65,6 +65,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return value
+
+
 def _add_compute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="point file, csv or vecbin")
     p.add_argument(
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compute_flags(p)
     p.add_argument(
         "--trials",
-        type=int,
+        type=_non_negative,
         default=20,
         help="random-subset containment checks to run (default 20)",
     )
@@ -196,8 +203,6 @@ def cmd_mst(args) -> int:
 def cmd_verify(args) -> int:
     points, metric = _load(args)
     tree, stats, k, workers = _compute(args, points, metric)
-    if args.trials < 0:
-        raise UsageError("--trials must be non-negative")
     failures = 0
 
     reference = oracle_mst(points, metric)
@@ -247,6 +252,8 @@ def cmd_bench(args) -> int:
 
 def cmd_dendrogram(args) -> int:
     points, metric = _load(args)
+    if points.count == 0:
+        raise DataError(f"{args.input}: no points, a dendrogram needs at least one leaf")
     tree, stats, k, workers = _compute(args, points, metric)
     dendro = mst_to_dendrogram(tree, points.count)
     _emit(format_edges(tree), args.output)

@@ -4,54 +4,66 @@ Processing MST edges in ascending (weight, u, v) order is exactly
 single-linkage agglomeration: each edge merges the two clusters containing
 its endpoints at a height equal to its weight. Leaves are clusters 0..n-1
 and the merge at step t creates cluster n+t, so the record layout matches
-the usual linkage conventions.
+the usual linkage conventions. That is Kruskal's union history as merges()
+reports it, whose roots are these cluster ids, so the dendrogram is four
+arrays read straight off one scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import UsageError
-from .graph import EdgeList, UnionFind
+from .graph import EdgeList, _root, merges
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    cluster_a: int
-    cluster_b: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
 class Dendrogram:
-    """Complete merge history over count leaves: count-1 steps, one root."""
+    """Merge history over count leaves as read-only arrays, count-1 steps, one root.
 
-    count: int
-    steps: tuple
+    Step t merges clusters a[t] and b[t] (int64) at height[t] (float64) into
+    cluster count+t of size[t] (int64) leaves. The constructor checks that
+    every cluster is created before it is merged and merged at most once,
+    that heights are finite and non-decreasing, and that sizes add up.
+    """
 
-    def __post_init__(self):
-        n = self.count
-        steps = tuple(self.steps)
+    __slots__ = ("count", "a", "b", "height", "size")
+
+    def __init__(self, count: int, a=(), b=(), height=(), size=()):
+        n = self.count = int(count)
+        a, b, size = (np.array(x, dtype=np.int64) for x in (a, b, size))
+        height = np.array(height, dtype=np.float64)
         if n < 1:
             raise UsageError("a dendrogram needs at least one leaf")
-        if len(steps) != n - 1:
-            raise UsageError(f"{n} leaves require {n - 1} merge steps, got {len(steps)}")
-        sizes = {c: 1 for c in range(n)}
-        last = None
-        for t, s in enumerate(steps):
-            if s.cluster_a not in sizes or s.cluster_b not in sizes:
-                raise UsageError(f"step {t} merges a consumed or unknown cluster")
-            if last is not None and s.height < last:
-                raise UsageError("merge heights must be non-decreasing")
-            if s.size != sizes[s.cluster_a] + sizes[s.cluster_b]:
-                raise UsageError(f"step {t} records size {s.size}, members say otherwise")
-            last = s.height
-            sizes[n + t] = sizes.pop(s.cluster_a) + sizes.pop(s.cluster_b)
-        object.__setattr__(self, "steps", steps)
+        if a.ndim != 1 or not a.shape == b.shape == height.shape == size.shape:
+            raise UsageError("a, b, height and size must be flat arrays of one length")
+        if len(a) != n - 1:
+            raise UsageError(f"{n} leaves require {n - 1} merge steps, got {len(a)}")
+        ids = np.stack((a, b), axis=1).ravel()  # step t's clusters at 2t and 2t+1
+        step = np.arange(ids.size) // 2
+        bad = np.flatnonzero((ids < 0) | (ids >= n + step))
+        if bad.size:
+            raise UsageError(f"step {step[bad[0]]} merges an unknown cluster {ids[bad[0]]}")
+        twice = np.flatnonzero(np.bincount(ids, minlength=1) > 1)
+        if twice.size:
+            raise UsageError(f"cluster {twice[0]} is merged more than once")
+        bad = np.flatnonzero(~np.isfinite(height))
+        if bad.size:
+            raise UsageError(f"merge height must be finite, got {float(height[bad[0]])!r}")
+        if (np.diff(height) < 0).any():
+            raise UsageError("merge heights must be non-decreasing")
+        sizes = np.concatenate((np.ones(n, dtype=np.int64), size))
+        bad = np.flatnonzero(size != sizes[a] + sizes[b])
+        if bad.size:
+            raise UsageError(f"step {bad[0]} records size {size[bad[0]]}, members say otherwise")
+        self.a, self.b, self.height, self.size = a, b, height, size
+        for arr in (a, b, height, size):
+            arr.setflags(write=False)
 
-    def heights(self) -> list[float]:
-        return [s.height for s in self.steps]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dendrogram):
+            return NotImplemented
+        fields = ("count", "a", "b", "height", "size")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def cut(self, height: float) -> list:
         """Flat clusters after applying every merge with height <= the cut.
@@ -60,14 +72,15 @@ class Dendrogram:
         Equals the connected components of the MST restricted to edges of
         weight <= height, including at tie heights.
         """
-        members = {c: [c] for c in range(self.count)}
-        for t, s in enumerate(self.steps):
-            if s.height > height:
-                break
-            members[self.count + t] = members.pop(s.cluster_a) + members.pop(s.cluster_b)
-        blocks = [sorted(m) for m in members.values()]
-        blocks.sort(key=lambda b: b[0])
-        return blocks
+        n = self.count
+        k = int(np.searchsorted(self.height, height, "right"))
+        parent = list(range(n + k))
+        for t, a, b in zip(range(n, n + k), self.a[:k].tolist(), self.b[:k].tolist()):
+            parent[a] = parent[b] = t
+        blocks = {}
+        for x in range(n):
+            blocks.setdefault(_root(parent, x), []).append(x)
+        return list(blocks.values())
 
 
 def mst_to_dendrogram(tree: EdgeList, n: int) -> Dendrogram:
@@ -82,19 +95,12 @@ def mst_to_dendrogram(tree: EdgeList, n: int) -> Dendrogram:
     if len(tree) != n - 1:
         raise UsageError(f"a spanning tree on {n} vertices has {n - 1} edges, got {len(tree)}")
     tree.check_range(n)
-    uf = UnionFind(n)
-    cluster_at = list(range(n))
-    sizes = {c: 1 for c in range(n)}
-    steps = []
-    for t, (u, v, w) in enumerate(tree.triples()):
-        ra, rb = uf.find(u), uf.find(v)
-        if ra == rb:
-            raise UsageError("edge list contains a cycle; not a spanning tree")
-        ca, cb = cluster_at[ra], cluster_at[rb]
-        size = sizes.pop(ca) + sizes.pop(cb)
-        steps.append(MergeStep(ca, cb, w, size))
-        uf.union(ra, rb)
-        r = uf.find(ra)
-        cluster_at[r] = n + t
-        sizes[n + t] = size
-    return Dendrogram(n, tuple(steps))
+    steps = merges(tree.u, tree.v)
+    if len(steps) < n - 1:
+        raise UsageError("edge list contains a cycle; not a spanning tree")
+    # n-1 edges that all merge touch every vertex, so merges' compacted ids are the vertices.
+    a, b = [s[1] for s in steps], [s[2] for s in steps]
+    sizes = [1] * n
+    for ca, cb in zip(a, b):
+        sizes.append(sizes[ca] + sizes[cb])
+    return Dendrogram(n, a, b, tree.w, sizes[n:])

@@ -1,9 +1,12 @@
-"""Edges as three parallel arrays, the (w, u, v) total order, union-find and Kruskal.
+"""Edges as three parallel arrays, the (w, u, v) total order, and Kruskal's union history.
 
 The (weight, u, v) lexicographic order is a strict total order on canonical
 edges, which makes the minimum spanning forest unique. EdgeList holds every
 edge list from the dense kernel to the TSV writer as u, v and w arrays in
 that order; Edge is only the per-edge view its iteration hands out.
+merges() is the package's one union-find scan: kruskal keeps the pairs it
+reports, the oracle finds the first overflowing pair the tree needs with it,
+and mst_to_dendrogram reads its roots as cluster ids.
 """
 
 from __future__ import annotations
@@ -113,57 +116,45 @@ class EdgeList:
             raise UsageError(f"edge ({self.u[bad[0]]}, {self.v[bad[0]]}) lies outside 0..{n - 1}")
 
 
-class UnionFind:
-    """Disjoint sets over n integer slots, union by rank with path compression."""
+def _root(parent: list, x: int) -> int:
+    """Root of x in a parent-pointer forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    __slots__ = ("parent", "rank")
 
-    def __init__(self, n: int):
-        if n < 0:
-            raise UsageError("slot count must be non-negative")
-        self.parent = list(range(n))
-        self.rank = [0] * n
+def merges(u, v) -> list[tuple[int, int, int]]:
+    """Kruskal's union history over the pairs (u[i], v[i]), scanned in order.
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+    Ids are compacted to 0..r-1 with np.unique, so sparse or huge ids cost
+    nothing. A pair whose ends have different roots a and b is reported as
+    (i, a, b); at the t-th such merge node r+t becomes the parent of both
+    roots, so a root is its set's id, as in a linkage matrix. The scan stops
+    at the (r-1)-th merge: one set then holds every id.
+    """
+    ids, slot = np.unique(np.concatenate((u, v)), return_inverse=True)
+    r, half = ids.size, len(u)
+    parent = list(range(2 * r - 1))
+    out = []
+    for i, a, b in zip(range(half), slot[:half].tolist(), slot[half:].tolist()):
+        a, b = _root(parent, a), _root(parent, b)
+        if a != b:
+            parent[a] = parent[b] = r + len(out)
+            out.append((i, a, b))
+            if len(out) == r - 1:
+                break
+    return out
 
 
 def kruskal(candidates: EdgeList | Iterable[Edge], n: int | None = None) -> EdgeList:
     """Minimum spanning forest of the candidate multigraph under the total order.
 
-    Union-find runs over the endpoint ids that occur, compacted to 0..r-1, so
-    sparse or huge ids cost nothing; n, when given, only bounds the ids.
-    Duplicate pairs are harmless: the second copy closes a two-edge cycle.
-    The scan stops at the (r-1)-th kept edge: the forest then spans all r ids,
-    so no later candidate can join two components.
+    The forest is the pairs that merges() reports; n, when given, only bounds
+    the ids. Duplicate pairs are harmless: the second copy closes a two-edge
+    cycle.
     """
     el = candidates if isinstance(candidates, EdgeList) else EdgeList.of(candidates)
     if n is not None:
         el.check_range(n)
-    ids, slot = np.unique(np.concatenate((el.u, el.v)), return_inverse=True)
-    union = UnionFind(ids.size).union
-    half, spanning = len(el), ids.size - 1
-    keep = []
-    for i, a, b in zip(range(half), slot[:half].tolist(), slot[half:].tolist()):
-        if union(a, b):
-            keep.append(i)
-            if len(keep) == spanning:
-                break
+    keep = [i for i, _, _ in merges(el.u, el.v)]
     return EdgeList(el.u[keep], el.v[keep], el.w[keep])

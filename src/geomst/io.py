@@ -140,10 +140,8 @@ def read_edges(path) -> EdgeList:
 
 def write_dendrogram(d: Dendrogram, path) -> None:
     """TSV merge log: step index, cluster_a, cluster_b, height, size."""
-    lines = [
-        f"{t}\t{s.cluster_a}\t{s.cluster_b}\t{fmt_real(s.height)}\t{s.size}"
-        for t, s in enumerate(d.steps)
-    ]
+    steps = zip(d.a.tolist(), d.b.tolist(), d.height.tolist(), d.size.tolist())
+    lines = [f"{t}\t{a}\t{b}\t{fmt_real(h)}\t{s}" for t, (a, b, h, s) in enumerate(steps)]
     _write_text(path, lines)
 
 

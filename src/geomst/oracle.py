@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, subset_indices
-from .graph import EdgeList, UnionFind, kruskal
+from .graph import EdgeList, kruskal, merges
 
 DEFAULT_MAX_POINTS = 2048
 
@@ -31,13 +31,9 @@ def oracle_mst(
     """
     forest, gid, over = _finite_forest(points, metric, subset, max_points)
     if len(forest) < gid.size - 1:
-        slot = {g: i for i, g in enumerate(gid.tolist())}
-        union = UnionFind(len(slot)).union
-        for a, b, _ in forest.triples():
-            union(slot[a], slot[b])
-        for a, b, x in zip(*(arr.tolist() for arr in over)):
-            if union(slot[a], slot[b]):
-                raise DataError(f"distance between points {a} and {b} is {x!r} (overflow)")
+        u, v, x = (np.concatenate(pair) for pair in zip((forest.u, forest.v, forest.w), over))
+        i = merges(u, v)[len(forest)][0]  # the forest's own pairs are the first merges
+        raise DataError(f"distance between points {u[i]} and {v[i]} is {float(x[i])!r} (overflow)")
     return forest
 
 

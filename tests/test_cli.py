@@ -348,6 +348,13 @@ def test_verify_negative_trials_rejected(square_csv, capsys):
     assert "--trials" in err
 
 
+def test_verify_negative_trials_rejected_before_the_input_is_read(tmp_path, capsys):
+    absent = str(tmp_path / "absent.csv")
+    code, _, err = run(["verify", "--input", absent, "--trials", "-1"], capsys)
+    assert code == 1
+    assert "--trials" in err
+
+
 def test_bench_table_matches_work_formulas(capsys):
     code, out, _ = run(
         ["bench", "--n", "16", "--dim", "3", "--partitions-list", "1,2,4",
@@ -415,6 +422,16 @@ def test_dendrogram_writes_merges_and_edges(points_csv, tmp_path, capsys):
     assert out == ""
     assert edges.read_text(encoding="utf-8") == COLLINEAR_EDGES
     assert dendro.read_text(encoding="utf-8") == "0\t0\t1\t1.0\t2\n1\t3\t2\t2.0\t3\n"
+
+
+def test_dendrogram_on_empty_vecbin_is_a_data_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "empty.vecbin"
+    write_points(PointSet(np.empty((0, 3))), str(path))
+    dendro = tmp_path / "dendro.tsv"
+    argv = ["dendrogram", "--input", str(path), "--dendro-output", str(dendro)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert str(path) in err and out == "" and not dendro.exists()
 
 
 def test_dendrogram_requires_dendro_output(points_csv, capsys):

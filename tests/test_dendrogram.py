@@ -9,7 +9,6 @@ from geomst import (
     Dendrogram,
     Edge,
     EdgeList,
-    MergeStep,
     Metric,
     PointSet,
     SplitMix64,
@@ -21,23 +20,25 @@ from geomst import (
 )
 
 
+def steps(d):
+    """The merge steps of d as (a, b, height, size) tuples of Python numbers."""
+    return list(zip(d.a.tolist(), d.b.tolist(), d.height.tolist(), d.size.tolist()))
+
+
 def test_three_point_chain_trace():
     tree = EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)])
     d = mst_to_dendrogram(tree, 3)
-    assert d.steps == (
-        MergeStep(0, 1, 1.0, 2),
-        MergeStep(3, 2, 2.0, 3),
-    )
+    assert steps(d) == [(0, 1, 1.0, 2), (3, 2, 2.0, 3)]
 
 
 def test_two_point_single_step():
     d = mst_to_dendrogram(EdgeList.of([Edge(0, 1, 5.0)]), 2)
-    assert d.steps == (MergeStep(0, 1, 5.0, 2),)
+    assert steps(d) == [(0, 1, 5.0, 2)]
 
 
 def test_single_leaf_has_no_steps():
     d = mst_to_dendrogram(EdgeList.of([]), 1)
-    assert d.steps == ()
+    assert steps(d) == []
     assert d.cut(0.0) == [[0]]
 
 
@@ -45,8 +46,8 @@ def test_merge_heights_equal_sorted_tree_weights():
     pts = generate_instance(3, 80, 5, "uniform_cube")
     tree = dense_mst(pts, Metric("euclidean"))
     d = mst_to_dendrogram(tree, 80)
-    assert d.heights() == [e.w for e in sorted(tree, key=edge_key)]
-    assert d.heights() == sorted(d.heights())
+    assert d.height.tolist() == [e.w for e in sorted(tree, key=edge_key)]
+    assert d.height.tolist() == sorted(d.height.tolist())
 
 
 @pytest.mark.parametrize("seed", [101, 102, 103])
@@ -55,7 +56,7 @@ def test_heights_match_naive_agglomeration_oracle(seed):
     m = Metric("euclidean")
     heights, _ = naive_single_linkage(pairwise_matrix(pts, m))
     d = mst_to_dendrogram(dense_mst(pts, m), 30)
-    assert sorted(d.heights()) == sorted(heights)
+    assert sorted(d.height.tolist()) == sorted(heights)
 
 
 @pytest.mark.parametrize("seed", [104, 105])
@@ -81,7 +82,7 @@ def test_cut_equals_threshold_graph_components():
         h = rng.uniform() * top * 1.1
         assert {tuple(b) for b in d.cut(h)} == threshold_components(tree, n, h)
     # exactly at a merge height, the tied edge is included on both sides
-    tie = d.heights()[n // 2]
+    tie = float(d.height[n // 2])
     assert {tuple(b) for b in d.cut(tie)} == threshold_components(tree, n, tie)
 
 
@@ -92,9 +93,9 @@ def test_tie_heavy_instance_matches_oracle_and_is_deterministic():
     tree = dense_mst(pts, m)
     d1 = mst_to_dendrogram(tree, 16)
     d2 = mst_to_dendrogram(dense_mst(pts, m), 16)
-    assert d1.steps == d2.steps
+    assert d1 == d2 and steps(d1) == steps(d2)
     heights, merges = naive_single_linkage(pairwise_matrix(pts, m))
-    assert sorted(d1.heights()) == sorted(heights)
+    assert sorted(d1.height.tolist()) == sorted(heights)
     for h in (0.5, 1.0, 2.0):
         assert {tuple(b) for b in d1.cut(h)} == naive_cut(16, merges, h)
 
@@ -104,12 +105,12 @@ def test_cluster_ids_follow_step_order():
     tree = dense_mst(pts, Metric("euclidean"))
     d = mst_to_dendrogram(tree, 12)
     created = set(range(12))
-    for t, s in enumerate(d.steps):
-        assert s.cluster_a in created and s.cluster_b in created
-        created.discard(s.cluster_a)
-        created.discard(s.cluster_b)
+    for t, (a, b, _, _) in enumerate(steps(d)):
+        assert a in created and b in created
+        created.discard(a)
+        created.discard(b)
         created.add(12 + t)
-    assert d.steps[-1].size == 12
+    assert d.size[-1] == 12
 
 
 def test_rejects_forests_and_cycles():
@@ -126,26 +127,33 @@ def test_rejects_forests_and_cycles():
 
 
 def test_dendrogram_type_validates_its_invariants():
-    with pytest.raises(UsageError):
-        Dendrogram(3, (MergeStep(0, 1, 1.0, 2),))  # wrong step count
-    with pytest.raises(UsageError):
-        Dendrogram(3, (MergeStep(0, 1, 2.0, 2), MergeStep(3, 2, 1.0, 3)))  # heights decrease
-    with pytest.raises(UsageError):
-        Dendrogram(3, (MergeStep(0, 1, 1.0, 2), MergeStep(0, 2, 2.0, 3)))  # 0 consumed twice
-    with pytest.raises(UsageError):
-        Dendrogram(3, (MergeStep(0, 1, 1.0, 2), MergeStep(3, 2, 2.0, 2)))  # size wrong
-    d = Dendrogram(3, (MergeStep(0, 1, 1.0, 2), MergeStep(3, 2, 2.0, 3)))
-    assert d.count == 3
+    cases = [
+        ([0], [1], [1.0], [2], "require 2 merge steps"),
+        ([0, 3], [1, 2], [2.0, 1.0], [2, 3], "non-decreasing"),
+        ([0, 0], [1, 2], [1.0, 2.0], [2, 3], "cluster 0 is merged more than once"),
+        ([0, 3], [1, 2], [1.0, 2.0], [2, 2], "step 1 records size 2"),
+        ([0, 3], [1, 2], [float("nan"), 1.0], [2, 3], "finite, got nan"),
+        ([0, 3], [1, 2], [1.0, float("inf")], [2, 3], "finite, got inf"),
+        ([-1, 3], [1, 2], [1.0, 2.0], [2, 3], "step 0 merges an unknown cluster -1"),
+        ([0, 3], [4, 2], [1.0, 2.0], [2, 3], "step 0 merges an unknown cluster 4"),  # forward
+    ]
+    for a, b, height, size, match in cases:
+        with pytest.raises(UsageError, match=match):
+            Dendrogram(3, a, b, height, size)
+    d = Dendrogram(3, [0, 3], [1, 2], [1.0, 2.0], [2, 3])
+    assert d.count == 3 and steps(d) == [(0, 1, 1.0, 2), (3, 2, 2.0, 3)]
+    with pytest.raises(ValueError):
+        d.height[0] = 0.0
 
 
 def test_sizes_accumulate_along_steps():
     pts = generate_instance(21, 25, 3, "gaussian")
     d = mst_to_dendrogram(dense_mst(pts, Metric("euclidean")), 25)
     sizes = {c: 1 for c in range(25)}
-    for t, s in enumerate(d.steps):
-        assert s.size == sizes[s.cluster_a] + sizes[s.cluster_b]
-        sizes[25 + t] = s.size
-    assert d.steps[-1].size == 25
+    for t, (a, b, _, size) in enumerate(steps(d)):
+        assert size == sizes[a] + sizes[b]
+        sizes[25 + t] = size
+    assert d.size[-1] == 25
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(min_value=2, max_value=24))
@@ -154,4 +162,4 @@ def test_cut_extremes(seed, n):
     tree = dense_mst(pts, Metric("euclidean"))
     d = mst_to_dendrogram(tree, n)
     assert d.cut(-1.0) == [[i] for i in range(n)]
-    assert d.cut(max(d.heights())) == [list(range(n))]
+    assert d.cut(d.height.max()) == [list(range(n))]

@@ -15,11 +15,11 @@ from geomst import (
     MetricDomainError,
     PointSet,
     RunStats,
-    UnionFind,
     UsageError,
     dense_mst,
     edge_key,
     generate_instance,
+    merges,
     oracle_mst,
 )
 
@@ -78,8 +78,7 @@ def test_unit_square_tie_break_selects_lowest_index_pairs():
         all_edges.append((w, i, j))
     spanning = []
     for triple in combinations(all_edges, 3):
-        uf = UnionFind(4)
-        if all(uf.union(u, v) for _, u, v in triple):
+        if len(merges([u for _, u, _ in triple], [v for _, _, v in triple])) == 3:
             spanning.append(sorted(triple))
     assert len(spanning) == 16
     assert keys(tree) == min(spanning)

@@ -1,4 +1,4 @@
-"""Edge order, union-find and Kruskal: pinned cases, oracles, properties."""
+"""Edge order, the union history and Kruskal: pinned cases, oracles, properties."""
 
 from collections import defaultdict
 from unittest import mock
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from geomst import Edge, EdgeList, SplitMix64, UnionFind, UsageError, edge_key, graph, kruskal
+from geomst import Edge, EdgeList, SplitMix64, UsageError, edge_key, graph, kruskal, merges
 
 edges_st = st.lists(
     st.tuples(
@@ -112,8 +112,7 @@ def test_kruskal_total_weight_is_minimal_among_spanning_trees():
     edges = _random_edges(9, 9, 5)
     best = None
     for triple in combinations(range(len(edges)), 4):
-        uf = UnionFind(5)
-        if all(uf.union(edges[i].u, edges[i].v) for i in triple):
+        if len(merges([edges[i].u for i in triple], [edges[i].v for i in triple])) == 4:
             total = sum(edges[i].w for i in triple)
             best = total if best is None else min(best, total)
     got = kruskal(edges, 5)
@@ -218,19 +217,13 @@ def _full_scan(el):
 
 @given(el=sparse_multigraphs)
 def test_early_exit_kruskal_equals_a_full_scan_and_stops_at_the_last_tree_edge(el):
-    calls = []
-
-    class CountingUnionFind(UnionFind):
-        def union(self, a, b):
-            calls.append((a, b))
-            return super().union(a, b)
-
-    with mock.patch.object(graph, "UnionFind", CountingUnionFind):
+    with mock.patch.object(graph, "_root", side_effect=graph._root) as root:
         got = kruskal(el)
     kept, positions = _full_scan(el)
     assert [(e.w, e.u, e.v) for e in got] == kept
     spans = len(kept) == len(set(el.u.tolist()) | set(el.v.tolist())) - 1
-    assert len(calls) == (positions[-1] + 1 if spans and kept else len(el))
+    # two root lookups per scanned pair
+    assert root.call_count == 2 * (positions[-1] + 1 if spans and kept else len(el))
 
 
 def test_edgelist_sorted_and_total_weight():
@@ -286,12 +279,10 @@ def test_kruskal_compacts_sparse_vertex_ids(big):
 
 
 def test_union_find_idempotent_find_and_union_semantics():
-    uf = UnionFind(6)
-    assert uf.union(0, 1)
-    assert not uf.union(1, 0)
-    assert uf.find(uf.find(1)) == uf.find(1)
-    assert uf.find(0) == uf.find(1)
-    assert uf.find(2) != uf.find(0)
+    # ids 0..3 occur, so the merges create nodes 4, 5, 6; a root is its set's id
+    got = merges([0, 1, 1, 2, 0, 3], [1, 0, 1, 3, 2, 2])
+    assert got == [(0, 0, 1), (3, 2, 3), (4, 4, 5)]
+    assert merges([5], [5]) == [] and merges([], []) == []
 
 
 @given(
@@ -301,16 +292,19 @@ def test_union_find_idempotent_find_and_union_semantics():
     )
 )
 def test_union_find_matches_set_merging_model(ops):
-    uf = UnionFind(12)
-    model = {i: {i} for i in range(12)}
-    for a, b in ops:
-        merged = uf.union(a, b)
+    u, v = [a for a, _ in ops], [b for _, b in ops]
+    got = merges(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+    ids = sorted(set(u) | set(v))
+    model = {x: {x} for x in ids}
+    label = {x: slot for slot, x in enumerate(ids)}  # each set's id, keyed by its members
+    expected = []
+    for i, (a, b) in enumerate(ops):
         sa, sb = model[a], model[b]
-        assert merged == (sa is not sb)
         if sa is not sb:
+            expected.append((i, label[a], label[b]))
             sa |= sb
-            for x in sb:
+            for x in sa:
                 model[x] = sa
-    for a in range(12):
-        for b in range(12):
-            assert (uf.find(a) == uf.find(b)) == (model[a] is model[b])
+                label[x] = len(ids) + len(expected) - 1
+    # a merge is reported iff the two sets differ, with the sets' ids as roots
+    assert got == expected
