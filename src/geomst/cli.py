@@ -80,7 +80,7 @@ def _add_compute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=METRIC_NAMES, default="euclidean")
     p.add_argument(
         "--partitions",
-        type=int,
+        type=_positive,
         default=None,
         metavar="K",
         help="block count (default: ceil(sqrt(2*workers)), clamped to the point count)",

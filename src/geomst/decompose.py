@@ -9,17 +9,23 @@ end, so no reindexing pass exists anywhere.
 
 Communication is counted, not transported: edges_gathered measures what a
 distributed deployment would move. With more than one worker the tasks run
-in a pool of worker processes, so the Python bookkeeping of each Prim step
-runs in parallel too, not only the numpy arithmetic that releases the GIL.
-The workers are forked where the platform can fork, so they inherit the
-points and the partition once per run instead of receiving them per task;
-each returns its task tree as EdgeList arrays plus its evaluation count,
-and the trees are merged in task order whatever order the workers finish in.
+in forked processes, so the Python bookkeeping of each Prim step runs in
+parallel too, not only the numpy arithmetic that releases the GIL. The
+calling process solves one share of the tasks itself and forks one child
+per other share; the children inherit the points and the partition, and
+each returns its task trees as pickled EdgeList arrays plus evaluation
+counts over a pipe. The trees are merged in task order whatever order the
+shares finish in. The runner needs neither multiprocessing nor a
+`__main__` guard; where os.fork does not exist the tasks run in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
@@ -107,8 +113,9 @@ def decomposed_mst(
     Returns the same edge set as the undecomposed computation for every valid
     partition, merge strategy and worker count; the RunStats tell the merge
     strategies apart. workers defaults to usable_cores(). One worker solves
-    the tasks in this process; more run them in at most that many worker
-    processes, never more than there are tasks, all joined before return.
+    the tasks in this process; with w > 1 (capped at the task count) this
+    process solves every w-th task and w - 1 forked children the rest, all
+    reaped before return.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -138,10 +145,10 @@ def decomposed_mst(
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     workers = min(workers, len(pairs))
 
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         results = [_solve_pair(points, metric, part, p) for p in pairs]
     else:
-        results = _solve_in_processes(points, metric, part, pairs, workers)
+        results = _solve_forked(points, metric, part, pairs, workers)
 
     stats.tasks_executed = len(pairs)
     task_trees, evals = zip(*results)
@@ -179,37 +186,81 @@ def _solve_pair(points: PointSet, metric: Metric, part: Partition, pair) -> tupl
     return tree, local.distance_evals
 
 
-def _solve_in_processes(points, metric, part, pairs, workers) -> list[tuple[EdgeList, int]]:
-    """Every task's result, in task order, from a pool of worker processes."""
-    # Imported here: single-worker runs and `--help` do not pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _solve_forked(points, metric, part, pairs, workers) -> list[tuple[EdgeList, int]]:
+    """Every task's result, in task order, from this process and workers - 1 forked children.
 
-    methods = multiprocessing.get_all_start_methods()
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork" if "fork" in methods else None),
-        initializer=_install_job,
-        initargs=(points, metric, part),
-    )
+    Share s is tasks s, s + workers, ...: this process solves share 0 and a
+    forked child each other share, which it pickles over a pipe in one
+    piece when done, so no child waits on the pipe while this process
+    computes. The first error in task order is raised: every task before it
+    still runs, and a share stops at a task only once a task before it has
+    failed. Children whose share starts after that failure are killed
+    unread; every child is reaped before return, also when this process is
+    interrupted.
+    """
+    outcomes = {}
+    children = []
+    with mmap.mmap(-1, len(pairs)) as failed:  # shared: failed[i] is 1 once task i raised
+        try:
+            for s in range(1, workers):
+                child = _fork_share(points, metric, part, pairs, s, workers, failed, children)
+                children.append(child)
+            outcomes[0] = _solve_share(points, metric, part, pairs, 0, workers, failed)
+            for s, (pid, reader) in enumerate(children, start=1):
+                if 0 <= failed.find(b"\x01") < s:
+                    continue  # every task of this share comes after a failed one
+                try:
+                    outcomes[s] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"worker process {pid} ended without reporting") from None
+        finally:
+            for pid, reader in children:
+                reader.close()
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                # ChildProcessError: reaped already, as when SIGCHLD is ignored
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        first = failed.find(b"\x01")
+    if first >= 0:
+        raise outcomes[first % workers][1]
+    results: list = [None] * len(pairs)
+    for s, (done, _) in outcomes.items():
+        results[s::workers] = done
+    return results
+
+
+def _solve_share(points, metric, part, pairs, s: int, workers: int, failed) -> tuple:
+    """Results of tasks s, s + workers, ... in order, up to the first failure; and its error."""
+    done = []
+    for i in range(s, len(pairs), workers):
+        if failed.find(b"\x01", 0, i) >= 0:
+            break  # an earlier task failed, so this one's result is not needed
+        try:
+            done.append(_solve_pair(points, metric, part, pairs[i]))
+        except Exception as exc:
+            failed[i] = 1
+            return done, exc
+    return done, None
+
+
+def _fork_share(points, metric, part, pairs, s: int, workers: int, failed, siblings):
+    """Fork the child that solves share s; returns its pid and the pipe it writes to."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    # The child never returns into the caller: os._exit ends it whatever happens.
     try:
-        return list(pool.map(_solve_in_worker, pairs))
+        os.close(r)
+        for _, reader in siblings:
+            reader.close()
+        outcome = _solve_share(points, metric, part, pairs, s, workers, failed)
+        with os.fdopen(w, "wb") as out:
+            pickle.dump(outcome, out)
     finally:
-        # An error in one task cancels the tasks not yet started and joins
-        # every worker before it propagates.
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-_job = None  # (points, metric, part) of the run a worker process serves
-
-
-def _install_job(points: PointSet, metric: Metric, part: Partition) -> None:
-    global _job
-    _job = (points, metric, part)
-
-
-def _solve_in_worker(pair) -> tuple[EdgeList, int]:
-    return _solve_pair(*_job, pair)
+        os._exit(0)
 
 
 def redundancy_factor(stats: RunStats, n: int) -> float:

@@ -56,10 +56,32 @@ def read_points(path, format: str | None = None) -> PointSet:
 
 
 def _read_csv(path) -> PointSet:
+    """Parse with numpy's C reader, falling back to _parse_rows wherever they could differ.
+
+    Both convert a field with the same routine as float(), so they agree
+    bit for bit where both accept. loadtxt refuses underscores and
+    non-ASCII digits, which float() accepts, and skips empty lines, which
+    the row parser refuses: so an empty line, any loadtxt error or a row
+    count other than the line count hands the text to the row parser, the
+    reference for what is accepted and for every error message.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty csv, cannot infer dimension")
+    coords = None
+    if "" not in lines:
+        try:
+            coords = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if coords is None or coords.shape[0] != len(lines):
+        coords = _parse_rows(path, lines)
+    return PointSet(coords)
+
+
+def _parse_rows(path, lines) -> np.ndarray:
+    """Coordinates of csv lines by float() per field, or DataError naming the first bad row."""
     rows = []
     width = None
     for i, line in enumerate(lines):
@@ -72,7 +94,7 @@ def _read_csv(path) -> PointSet:
             rows.append([float(f) for f in fields])
         except ValueError:
             raise DataError(f"{path}: row {i} contains an unparseable value") from None
-    return PointSet(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_vecbin(path) -> PointSet:

@@ -8,6 +8,7 @@ identity.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 
 import numpy as np
@@ -17,6 +18,15 @@ from geomst import Edge, edge_key
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def no_child_processes() -> bool:
+    """True iff this process has no child process, running or unreaped, of any kind."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def keys(tree) -> list[tuple]:

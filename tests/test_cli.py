@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import no_child_processes
 
 import geomst
 import geomst.cli as cli
@@ -355,6 +355,17 @@ def test_verify_negative_trials_rejected_before_the_input_is_read(tmp_path, caps
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("command", ["mst", "verify", "dendrogram"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_partitions_below_one_rejected_before_the_input_is_read(tmp_path, capsys, command, k):
+    absent = str(tmp_path / "absent.csv")
+    argv = [command, "--input", absent, "--partitions", k, "--dendro-output", "d.tsv"]
+    code, out, err = run(argv if command == "dendrogram" else argv[:-2], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--partitions" in err and "positive integer" in err
+
+
 def test_bench_table_matches_work_formulas(capsys):
     code, out, _ = run(
         ["bench", "--n", "16", "--dim", "3", "--partitions-list", "1,2,4",
@@ -459,7 +470,7 @@ def test_domain_error_in_a_worker_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "point id 17)" in err
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
 
 
 def test_no_edge_object_is_built_from_kernel_to_file(tmp_path, monkeypatch, capsys):

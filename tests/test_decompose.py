@@ -1,14 +1,18 @@
 """Pairwise-partition decomposition: equivalence, counters, merge strategies."""
 
-import multiprocessing
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import keys
+from conftest import keys, no_child_processes
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geomst
+import geomst.decompose as decompose
 from geomst import (
     METRIC_NAMES,
     MERGE_STRATEGIES,
@@ -216,7 +220,90 @@ def test_worker_errors_come_through_unchanged():
     with pytest.raises(MetricDomainError, match=r"point id 17\)") as caught:
         decomposed_mst(pts, Metric("cosine_distance"), make_partition(30, 3), "gather", 2)
     assert type(caught.value) is MetricDomainError
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
+
+
+def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.0, exc=ValueError):
+    """Patch the task solver so the named tasks raise, in this process or in a child."""
+    parent = os.getpid()
+    solve = decompose._solve_pair
+
+    def patched(points, metric, part, pair):
+        if os.getpid() == parent:
+            if pair in parent_fails:
+                raise exc(f"task {pair}")
+        else:
+            time.sleep(child_sleeps)
+            if pair in child_fails:
+                raise exc(f"task {pair}")
+        return solve(points, metric, part, pair)
+
+    monkeypatch.setattr(decompose, "_solve_pair", patched)
+
+
+def _three_tasks():
+    return generate_instance(4, 30, 3, "gaussian"), Metric("euclidean"), make_partition(30, 3)
+
+
+def test_an_error_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
+    # Task 0 is the parent's own; the children would sleep for a minute.
+    _failing_tasks(monkeypatch, parent_fails=[(0, 1)], child_sleeps=60.0)
+    pts, m, part = _three_tasks()
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"task \(0, 1\)"):
+        decomposed_mst(pts, m, part, "gather", 3)
+    assert time.perf_counter() - started < 30.0
+    assert no_child_processes()
+
+
+def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
+    _failing_tasks(monkeypatch, parent_fails=[(0, 1)], child_sleeps=60.0, exc=KeyboardInterrupt)
+    pts, m, part = _three_tasks()
+    with pytest.raises(KeyboardInterrupt):
+        decomposed_mst(pts, m, part, "gather", 3)
+    assert no_child_processes()
+
+
+def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypatch):
+    # Two workers: the parent solves tasks 0 and 2, the child task 1.
+    _failing_tasks(monkeypatch, parent_fails=[(1, 2)], child_fails=[(0, 2)])
+    pts, m, part = _three_tasks()
+    with pytest.raises(ValueError, match=r"task \(0, 2\)"):
+        decomposed_mst(pts, m, part, "gather", 2)
+    assert no_child_processes()
+
+
+def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch):
+    parent = os.getpid()
+    solve = decompose._solve_pair
+
+    def patched(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return solve(*args)
+
+    monkeypatch.setattr(decompose, "_solve_pair", patched)
+    pts, m, part = _three_tasks()
+    with pytest.raises(RuntimeError, match="ended without reporting"):
+        decomposed_mst(pts, m, part, "gather", 2)
+    assert no_child_processes()
+
+
+def test_two_workers_leave_multiprocessing_unimported():
+    script = (
+        "import sys\n"
+        "from geomst import Metric, decomposed_mst, generate_instance, make_partition\n"
+        "pts = generate_instance(5, 40, 3, 'gaussian')\n"
+        "decomposed_mst(pts, Metric('euclidean'), make_partition(40, 3), 'gather', 2)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_partition_strategies_do_not_change_the_answer():

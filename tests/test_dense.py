@@ -8,6 +8,7 @@ from conftest import keys
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geomst.dense as dense_module
 from geomst import (
     METRIC_NAMES,
     DataError,
@@ -226,3 +227,127 @@ def test_ties_under_permuted_sparse_ids_match_oracle(name):
             sub = rng.choice(n, size=size, replace=False)
             got = dense_mst(pts, m, subset=sub).edges
             assert got == oracle_mst(pts, m, subset=sub).edges, (d, size)
+
+
+# The step bound (see geomst.dense) serves these metrics from _BOUND_FROM up;
+# below it, and for the other metrics, every pair is evaluated.
+BOUNDED = ("euclidean", "squared_euclidean", "cosine_distance")
+BOUND_FROM = dense_module._BOUND_FROM
+BOTH_SIDES = (BOUND_FROM // 2, BOUND_FROM - 1, BOUND_FROM, 2 * BOUND_FROM + 3)
+
+
+def _adversarial(kind, n, d, rng):
+    """Coordinates meant to make a loose or badly rounded bound change an edge."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind in ("centred_clusters", "offset_clusters"):
+        centres = 10.0 * rng.standard_normal((4, d)) + (1e6 if kind == "offset_clusters" else 0.0)
+        return centres[np.arange(n) % 4] + rng.standard_normal((n, d))
+    if kind == "duplicates":
+        return rng.standard_normal((n // 3, d))[rng.integers(0, n // 3, size=n)]
+    if kind == "lattice":
+        return rng.integers(1, 3, size=(n, d)).astype(np.float64)
+    if kind == "near_ties":
+        # Scaled basis vectors a few ulps apart in length, on a common
+        # offset: every pair distance is one of a few values within the
+        # bound's rounding term of each other.
+        x = np.zeros((n, d))
+        x[np.arange(n), np.arange(n) % d] = 1.0 + rng.integers(-3, 4, size=n) * 2.0**-52
+        return x + 3.0
+    if kind == "huge":  # squared norms near 1e302, still inside the bound's range
+        return 1e150 * rng.standard_normal((n, d))
+    if kind == "beyond_norm_limit":  # squared norms above 2^1020: the bound is not used
+        return 1e153 + 1e140 * rng.standard_normal((n, d))
+    if kind == "tiny":
+        return 1e-150 * rng.standard_normal((n, d))
+    if kind == "subnormal_products":
+        return 1e-160 * rng.standard_normal((n, d))
+    if kind == "offset_near_ties":
+        # The same spikes far from the origin, on a vector whose coordinates
+        # round when a spike is added: every weight is within a few ulps of
+        # 2, while the bound's rounding term is between 0.1 and 10.
+        x = np.zeros((n, d))
+        x[np.arange(n), np.arange(n) % d] = 1.0
+        return x + 1e6 * (1.0 + 0.1 * rng.standard_normal(d))
+    if kind == "subnormal_ties":
+        # Lattice points a little apart, scaled so that squared differences
+        # and products are subnormal: many weights tie or nearly tie, at
+        # the grain where underflow decides the last bits.
+        lattice = rng.integers(1, 3, size=(n, d)) + 2.0**-15 * rng.standard_normal((n, d))
+        return 2.0**-530 * lattice
+    raise AssertionError(kind)
+
+
+ADVERSARIAL = (
+    "gaussian",
+    "centred_clusters",
+    "offset_clusters",
+    "duplicates",
+    "lattice",
+    "near_ties",
+    "huge",
+    "beyond_norm_limit",
+    "tiny",
+    "subnormal_products",
+    "offset_near_ties",
+    "subnormal_ties",
+)
+
+
+def _bits(tree):
+    return tree.u.tobytes(), tree.v.tobytes(), tree.w.tobytes()
+
+
+@pytest.mark.parametrize("d", BOTH_SIDES)
+@pytest.mark.parametrize("name", BOUNDED)
+def test_bounded_metrics_match_the_oracle_bit_for_bit_on_adversarial_inputs(name, d):
+    rng = np.random.default_rng(9000 + d)
+    m = Metric(name)
+    for kind in ADVERSARIAL:
+        coords = _adversarial(kind, 60, d, rng)
+        ids = rng.choice(25 * 60, size=60, replace=False)
+        pts = PointSet(coords, ids=ids)
+        assert _bits(dense_mst(pts, m)) == _bits(oracle_mst(pts, m)), kind
+        sub = rng.choice(60, size=23, replace=False)
+        assert _bits(dense_mst(pts, m, subset=sub)) == _bits(oracle_mst(pts, m, subset=sub)), kind
+
+
+@pytest.mark.parametrize("d", (BOUND_FROM, 2 * BOUND_FROM + 3))
+@pytest.mark.parametrize("name", ("euclidean", "squared_euclidean"))
+def test_bounded_overflow_the_tree_needs_names_the_oracles_pair(name, d):
+    # Two far groups: every squared norm of the far one overflows, so the
+    # bound is off, and the one tree edge between the groups is inf.
+    coords = np.zeros((20, d))
+    coords[:, 0] = np.arange(20.0)
+    coords[12:] += 1e154
+    pts = PointSet(coords)
+    with pytest.raises(DataError) as oracle_error:
+        oracle_mst(pts, Metric(name))
+    with pytest.raises(DataError) as dense_error:
+        dense_mst(pts, Metric(name))
+    assert str(dense_error.value) == str(oracle_error.value)
+    assert "overflow" in str(dense_error.value)
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_the_bound_prunes_exact_evaluations_only_where_it_applies(name):
+    rows = []
+
+    class CountingMetric(Metric):
+        __slots__ = ()
+
+        def block(self, a, block_rows):
+            rows.append(len(block_rows))
+            return super().block(a, block_rows)
+
+    n = 200
+    for d in (BOUND_FROM - 1, BOUND_FROM):
+        rows.clear()
+        stats = RunStats()
+        pts = generate_instance(d, n, d, "gaussian")
+        assert dense_mst(pts, CountingMetric(name), stats) == dense_mst(pts, Metric(name))
+        assert stats.distance_evals == n * (n - 1) // 2
+        if name in BOUNDED and d >= BOUND_FROM:
+            assert sum(rows) < n * (n - 1) // 4, d
+        else:
+            assert sum(rows) == n * (n - 1) // 2, d

@@ -28,6 +28,7 @@ from geomst import (
     write_points,
     write_stats,
 )
+from geomst.io import _parse_rows
 from geomst.stats import RunStats
 
 coord_elements = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -170,6 +171,103 @@ def test_empty_csv_rejected(tmp_path):
     p.write_text("")
     with pytest.raises(DataError, match="empty"):
         read_points(p)
+
+
+def _row_parser_outcome(path):
+    """What read_points gave when every csv went through the row parser alone."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines:
+            raise DataError(f"{path}: empty csv, cannot infer dimension")
+        return PointSet(_parse_rows(path, lines)).coords
+    except DataError as exc:
+        return str(exc)
+
+
+def _outcome(path):
+    try:
+        return read_points(path).coords
+    except DataError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Fields numpy's reader and float() might read differently: signs, exponents,
+# underscores (float() only), a byte-order mark, non-finite spellings, an
+# out-of-range exponent, empty fields and separators other than "\n" that
+# str.splitlines honours ("\x0c", "\x85") or that universal newlines turn
+# into one ("\r").
+CSV_TOKENS = list("0123456789+-.eE_,# \n\r\x0c\x85\ufeff") + [
+    "nan", "inf", "-inf", "1e400", "1.5", "0.1", "2.5e-3", "1_0", ",", "\n", ", ", "",
+]
+csv_noise = st.lists(st.sampled_from(CSV_TOKENS), max_size=40).map("".join)
+csv_fields = st.floats(width=64).map(repr) | st.lists(
+    st.sampled_from(CSV_TOKENS), min_size=1, max_size=3
+).map("".join)
+
+
+def _csv_grid(d):
+    row = st.lists(csv_fields, min_size=d, max_size=d).map(",".join)
+    return st.lists(row | csv_noise, min_size=1, max_size=5).map("\n".join)
+
+
+csv_grids = st.integers(min_value=1, max_value=4).flatmap(_csv_grid)
+
+
+@given(text=csv_noise | csv_grids)
+def test_csv_reader_equals_the_row_parser(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _same(_outcome(path), _row_parser_outcome(path)), repr(text)
+
+
+HARD_DECIMALS = [
+    "0.1",
+    "0.30000000000000004",
+    "1e23",
+    "9007199254740993",  # 2^53 + 1, halfway between two doubles
+    "2.2250738585072011e-308",  # just below the smallest normal
+    "2.2250738585072012e-308",
+    "4.9406564584124654e-324",
+    "2.4703282292062327e-324",  # just below half the smallest subnormal
+    "2.4703282292062328e-324",
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",  # rounds down to the largest double
+    "-0.0",
+    "+.5",
+    "5.",
+    "1E-5",
+    "0." + "1" * 400,
+    "123456789012345678901234567890e-10",
+    " 7 ",
+]
+
+
+def test_csv_reads_hard_decimals_as_float_does(tmp_path):
+    path = tmp_path / "hard.csv"
+    path.write_text("\n".join(f"{x},{x}" for x in HARD_DECIMALS) + "\n", encoding="utf-8")
+    got = read_points(path).coords
+    want = np.array([[float(x)] * 2 for x in HARD_DECIMALS])
+    assert got.tobytes() == want.tobytes()
+    assert _same(got, _row_parser_outcome(path))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.1, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0**53 + 2, 1 / 3],
+)
+def test_csv_round_trips_fmt_real_of_hard_doubles(x, tmp_path):
+    path = tmp_path / "rt.csv"
+    coords = np.array([[x, -x], [np.nextafter(x, 0.0), np.nextafter(-x, 0.0)]])
+    write_points(PointSet(coords), path)
+    assert fmt_real(x) in path.read_text(encoding="utf-8")
+    assert read_points(path).coords.tobytes() == coords.tobytes()
 
 
 def test_vecbin_bad_magic(tmp_path):
