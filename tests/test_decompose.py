@@ -259,14 +259,17 @@ def test_an_error_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
 def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
     _failing_tasks(monkeypatch, parent_fails=[(0, 1)], child_sleeps=60.0, exc=KeyboardInterrupt)
     pts, m, part = _three_tasks()
+    started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         decomposed_mst(pts, m, part, "gather", 3)
+    assert time.perf_counter() - started < 30.0
     assert no_child_processes()
 
 
 def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypatch):
-    # Two workers: the parent solves tasks 0 and 2, the child task 1.
-    _failing_tasks(monkeypatch, parent_fails=[(1, 2)], child_fails=[(0, 2)])
+    # Two workers: the parent solves tasks 0 and 2, the child task 1, which
+    # is slow enough that the parent's error comes first in time.
+    _failing_tasks(monkeypatch, parent_fails=[(1, 2)], child_fails=[(0, 2)], child_sleeps=1.0)
     pts, m, part = _three_tasks()
     with pytest.raises(ValueError, match=r"task \(0, 2\)"):
         decomposed_mst(pts, m, part, "gather", 2)
