@@ -2,5 +2,5 @@
 
 from .cli import main_entry
 
-if __name__ == "__main__":  # not when a spawned worker process re-imports the main module
+if __name__ == "__main__":
     main_entry()

@@ -74,7 +74,7 @@ def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform has one.
 
     os.cpu_count() also counts cores that taskset or a cpuset keeps the
-    process off, so a pool sized by it would oversubscribe the cores it has.
+    process off, so workers counted by it would oversubscribe the cores it has.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

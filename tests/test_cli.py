@@ -183,7 +183,7 @@ def test_stats_file_reports_run_counters(points_csv, tmp_path, capsys):
     "workers, k, tasks",
     [
         # k = ceil(sqrt(2 * workers)). On 2 workers that is a single task on
-        # one core, and it beats k = 4 (six tasks in a pool) at d = 2; k = 4
+        # one core, and it beats k = 4 (six tasks on two processes) at d = 2; k = 4
         # wins only at high d, so the default stays until a policy is measured.
         ("1", "2", "1"),
         ("2", "2", "1"),
