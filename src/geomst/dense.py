@@ -80,9 +80,9 @@ M - 2P, all exact. Then:
 Together lo <= scale (D - (c - 2 g(d) - 8u) M) + a few d eta, against
 scale S >= scale (D - 2 g(d + 2) M) - d eta. c = (2d + 16) 2^-52 =
 (4d + 32) u exceeds 2 g(d) + 2 g(d + 2) + 8u ~ (4d + 12) u by 20u, which
-covers the second-order terms, and floor = d 2^-1060 covers every eta term
-and the rounding of scale * S to 1/2 S in the subnormal range. sqrt and
-the product by 1/2 are monotone, so a bound strictly above the frontier
+covers the second-order terms, and floor = d 2^-1060 covers every eta term,
+including the rounding of cosine's product 0.5 * S in the subnormal range.
+sqrt and that product are monotone, so a bound strictly above the frontier
 weight puts the computed value there too. The bias is used only when every
 squared norm is at most 2^1020 (and not NaN): then no intermediate
 exceeds 2^1023 and lo is finite, or NaN where a negative lo meets the
