@@ -12,11 +12,12 @@ distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
 parallel too, not only the numpy arithmetic that releases the GIL. The
 calling process solves one share of the tasks itself and forks one child
-per other share; the children inherit the points and the partition, and
+per other share; the children inherit the points and the task list, and
 each returns its task trees as pickled EdgeList arrays plus evaluation
 counts over a pipe. The trees are merged in task order whatever order the
-shares finish in. The runner needs neither multiprocessing nor a
-`__main__` guard; where os.fork does not exist the tasks run in-process.
+shares finish in. With one worker, as with one block or where os.fork does
+not exist, the same runner forks nothing and solves the single share in
+this process. It needs neither multiprocessing nor a `__main__` guard.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dense import dense_mst
 from .errors import UsageError
-from .geometry import Metric, PointSet
+from .geometry import Metric, PointSet, _int64_array
 from .graph import EdgeList, kruskal
 from .rng import SplitMix64
 from .stats import RunStats
@@ -49,7 +50,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=np.int64) for b in self.blocks)
+        blocks = tuple(_int64_array(b, "block indices") for b in self.blocks)
         if not blocks:
             raise UsageError("a partition needs at least one block")
         for b in blocks:
@@ -112,10 +113,11 @@ def decomposed_mst(
 
     Returns the same edge set as the undecomposed computation for every valid
     partition, merge strategy and worker count; the RunStats tell the merge
-    strategies apart. workers defaults to usable_cores(). One worker solves
-    the tasks in this process; with w > 1 (capped at the task count) this
-    process solves every w-th task and w - 1 forked children the rest, all
-    reaped before return.
+    strategies apart. There is one task per block pair, or one whole-set task
+    for a single block. workers defaults to usable_cores() and is capped at
+    the task count, and at 1 where os.fork does not exist; this process
+    solves every w-th task and w - 1 forked children the rest, all reaped
+    before return.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -131,30 +133,23 @@ def decomposed_mst(
     stats = RunStats(merge_strategy=merge)
     started = time.perf_counter()
 
-    k = len(part.blocks)
+    blocks = part.blocks
+    k = len(blocks)
     if k == 1:
-        # The pairwise double loop is empty for a single block; the whole-set
-        # kernel call preserves the "output is the MSF" contract, and nothing
-        # is communicated.
-        stats.tasks_executed = 1
-        tree = dense_mst(points, metric, stats)
-        stats.wall_time = time.perf_counter() - started
-        return tree, stats
-
-    metric.prepared(points)  # warm shared caches once, before workers inherit them
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    workers = min(workers, len(pairs))
-
-    if workers == 1 or not hasattr(os, "fork"):
-        results = [_solve_pair(points, metric, part, p) for p in pairs]
+        tasks = [None]  # the whole set, exactly as dense_mst is called without a subset
     else:
-        results = _solve_forked(points, metric, part, pairs, workers)
+        tasks = [np.concatenate((blocks[i], blocks[j])) for i in range(k) for j in range(i + 1, k)]
+    workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    metric.prepared(points)  # warm shared caches once, before workers inherit them
+    results = _solve_forked(points, metric, tasks, workers)
 
-    stats.tasks_executed = len(pairs)
+    stats.tasks_executed = len(tasks)
     task_trees, evals = zip(*results)
     stats.distance_evals = sum(evals)
 
-    if merge == "gather":
+    if k == 1:
+        tree = task_trees[0]  # nothing to merge, so nothing is communicated
+    elif merge == "gather":
         candidates = EdgeList.concat(task_trees)
         stats.edges_gathered = len(candidates)
         tree = kruskal(candidates)
@@ -176,17 +171,14 @@ def decomposed_mst(
     return tree, stats
 
 
-def _solve_pair(points: PointSet, metric: Metric, part: Partition, pair) -> tuple[EdgeList, int]:
-    """One block-pair task: the dense MST of the two blocks' union and its evaluations."""
-    i, j = pair
+def _solve_task(points: PointSet, metric: Metric, subset) -> tuple[EdgeList, int]:
+    """One task: the dense MST of points[subset] and its evaluations."""
     local = RunStats()
-    tree = dense_mst(
-        points, metric, local, subset=np.concatenate((part.blocks[i], part.blocks[j]))
-    )
+    tree = dense_mst(points, metric, local, subset=subset)
     return tree, local.distance_evals
 
 
-def _solve_forked(points, metric, part, pairs, workers) -> list[tuple[EdgeList, int]]:
+def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
     """Every task's result, in task order, from this process and workers - 1 forked children.
 
     Share s is tasks s, s + workers, ...: this process solves share 0 and a
@@ -200,12 +192,12 @@ def _solve_forked(points, metric, part, pairs, workers) -> list[tuple[EdgeList, 
     """
     outcomes = {}
     children = []
-    with mmap.mmap(-1, len(pairs)) as failed:  # shared: failed[i] is 1 once task i raised
+    with mmap.mmap(-1, len(tasks)) as failed:  # shared: failed[i] is 1 once task i raised
         try:
             for s in range(1, workers):
-                child = _fork_share(points, metric, part, pairs, s, workers, failed, children)
+                child = _fork_share(points, metric, tasks, s, workers, failed, children)
                 children.append(child)
-            outcomes[0] = _solve_share(points, metric, part, pairs, 0, workers, failed)
+            outcomes[0] = _solve_share(points, metric, tasks, 0, workers, failed)
             for s, (pid, reader) in enumerate(children, start=1):
                 if 0 <= failed.find(b"\x01") < s:
                     continue  # every task of this share comes after a failed one
@@ -224,27 +216,27 @@ def _solve_forked(points, metric, part, pairs, workers) -> list[tuple[EdgeList, 
         first = failed.find(b"\x01")
     if first >= 0:
         raise outcomes[first % workers][1]
-    results: list = [None] * len(pairs)
+    results: list = [None] * len(tasks)
     for s, (done, _) in outcomes.items():
         results[s::workers] = done
     return results
 
 
-def _solve_share(points, metric, part, pairs, s: int, workers: int, failed) -> tuple:
+def _solve_share(points, metric, tasks, s: int, workers: int, failed) -> tuple:
     """Results of tasks s, s + workers, ... in order, up to the first failure; and its error."""
     done = []
-    for i in range(s, len(pairs), workers):
+    for i in range(s, len(tasks), workers):
         if failed.find(b"\x01", 0, i) >= 0:
             break  # an earlier task failed, so this one's result is not needed
         try:
-            done.append(_solve_pair(points, metric, part, pairs[i]))
+            done.append(_solve_task(points, metric, tasks[i]))
         except Exception as exc:
             failed[i] = 1
             return done, exc
     return done, None
 
 
-def _fork_share(points, metric, part, pairs, s: int, workers: int, failed, siblings):
+def _fork_share(points, metric, tasks, s: int, workers: int, failed, siblings):
     """Fork the child that solves share s; returns its pid and the pipe it writes to."""
     r, w = os.pipe()
     pid = os.fork()
@@ -256,7 +248,7 @@ def _fork_share(points, metric, part, pairs, s: int, workers: int, failed, sibli
         os.close(r)
         for _, reader in siblings:
             reader.close()
-        outcome = _solve_share(points, metric, part, pairs, s, workers, failed)
+        outcome = _solve_share(points, metric, tasks, s, workers, failed)
         with os.fdopen(w, "wb") as out:
             pickle.dump(outcome, out)
     finally:

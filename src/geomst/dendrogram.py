@@ -70,8 +70,11 @@ class Dendrogram:
 
         Returns leaf-index lists, each ascending, ordered by first member.
         Equals the connected components of the MST restricted to edges of
-        weight <= height, including at tie heights.
+        weight <= height, including at tie heights. A NaN height is a
+        UsageError: no merge height is <= NaN, yet a search would place NaN last.
         """
+        if np.isnan(height):
+            raise UsageError("cut height must not be NaN")
         n = self.count
         k = int(np.searchsorted(self.height, height, "right"))
         parent = list(range(n + k))

@@ -38,6 +38,17 @@ def _has_repeats(values: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as a new int64 array; a non-empty input of a non-integer dtype is a UsageError.
+
+    A cast would truncate 0.5 to 0 and read a boolean mask as indices 0 and 1.
+    """
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise UsageError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
 class PointSet:
     """Immutable set of n points in R^d with global vertex ids.
 
@@ -61,7 +72,7 @@ class PointSet:
         if ids is None:
             id_arr = np.arange(arr.shape[0], dtype=np.int64)
         else:
-            id_arr = np.array(ids, dtype=np.int64, copy=True)
+            id_arr = _int64_array(ids, "ids")
             if id_arr.shape != (arr.shape[0],):
                 raise UsageError("ids must be one id per point")
             if id_arr.size and id_arr.min() < 0:
@@ -144,7 +155,7 @@ def subset_indices(points: PointSet, subset=None) -> np.ndarray:
     """Validate a row-index subset of a PointSet and return it as int64; None means every row."""
     if subset is None:
         return np.arange(points.count, dtype=np.int64)
-    idx = np.asarray(subset, dtype=np.int64)
+    idx = _int64_array(subset, "subset indices")
     if idx.ndim != 1:
         raise UsageError(f"subset must be a flat index sequence, got shape {idx.shape}")
     if idx.size:

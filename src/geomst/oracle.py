@@ -83,5 +83,5 @@ def check_substructure(
     sub = _finite_forest(points, metric, idx, DEFAULT_MAX_POINTS)[0]
     inside = points.ids[idx]
     mask = np.isin(whole.u, inside) & np.isin(whole.v, inside)
-    restricted = EdgeList(whole.u[mask], whole.v[mask], whole.w[mask])
-    return set(sub.triples()).issuperset(restricted.triples())
+    restricted = zip(whole.u[mask].tolist(), whole.v[mask].tolist(), whole.w[mask].tolist())
+    return set(sub.triples()).issuperset(restricted)

@@ -18,6 +18,7 @@ from geomst import (
     MERGE_STRATEGIES,
     Metric,
     MetricDomainError,
+    PARTITION_STRATEGIES,
     Partition,
     PointSet,
     RunStats,
@@ -74,6 +75,11 @@ def test_partition_validation():
         Partition(([0, 1], []))
     with pytest.raises(UsageError):
         Partition(())
+
+
+def test_partition_rejects_non_integer_blocks():
+    with pytest.raises(UsageError, match="block indices must be integers"):
+        Partition(([0.5, 1.9], [2.2]))
 
 
 def test_three_singleton_blocks_hand_trace():
@@ -224,11 +230,13 @@ def test_worker_errors_come_through_unchanged():
 
 
 def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.0, exc=ValueError):
-    """Patch the task solver so the named tasks raise, in this process or in a child."""
+    """Patch the task solver so the named block pairs' tasks raise, in this process or a child."""
     parent = os.getpid()
-    solve = decompose._solve_pair
+    solve = decompose._solve_task
+    blocks = _three_tasks()[2].blocks
 
-    def patched(points, metric, part, pair):
+    def patched(points, metric, subset):
+        pair = tuple(i for i, b in enumerate(blocks) if np.isin(b, subset).all())
         if os.getpid() == parent:
             if pair in parent_fails:
                 raise exc(f"task {pair}")
@@ -236,9 +244,9 @@ def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.
             time.sleep(child_sleeps)
             if pair in child_fails:
                 raise exc(f"task {pair}")
-        return solve(points, metric, part, pair)
+        return solve(points, metric, subset)
 
-    monkeypatch.setattr(decompose, "_solve_pair", patched)
+    monkeypatch.setattr(decompose, "_solve_task", patched)
 
 
 def _three_tasks():
@@ -278,18 +286,68 @@ def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypat
 
 def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch):
     parent = os.getpid()
-    solve = decompose._solve_pair
+    solve = decompose._solve_task
 
     def patched(*args):
         if os.getpid() != parent:
             os._exit(3)
         return solve(*args)
 
-    monkeypatch.setattr(decompose, "_solve_pair", patched)
+    monkeypatch.setattr(decompose, "_solve_task", patched)
     pts, m, part = _three_tasks()
     with pytest.raises(RuntimeError, match="ended without reporting"):
         decomposed_mst(pts, m, part, "gather", 2)
     assert no_child_processes()
+
+
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("merge", MERGE_STRATEGIES)
+@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+def test_one_block_is_the_whole_set_task_in_this_process(monkeypatch, strategy, merge):
+    _forbid_fork(monkeypatch)
+    pts = generate_instance(12, 25, 3, "gaussian")
+    m = Metric("euclidean")
+    part = make_partition(25, 1, strategy, 5)
+    tree, stats = decomposed_mst(pts, m, part, merge, 4)
+    whole = RunStats()
+    assert format_edges(tree) == format_edges(dense_mst(pts, m, whole))
+    assert (stats.tasks_executed, stats.distance_evals) == (1, whole.distance_evals)
+    assert (stats.edges_gathered, stats.combine_input_sizes) == (0, [])
+
+    coords = pts.coords.copy()
+    coords[[7, 19]] = 0.0  # the shuffled block lists 19 first; the whole set names 7
+    zero = PointSet(coords)
+    cosine = Metric("cosine_distance")
+    with pytest.raises(MetricDomainError) as expected:
+        dense_mst(zero, cosine)
+    with pytest.raises(MetricDomainError) as caught:
+        decomposed_mst(zero, cosine, part, merge, 4)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    pts, m, part = _three_tasks()
+    expected = format_edges(oracle_mst(pts, m))
+    _forbid_fork(monkeypatch)
+    tree, stats = decomposed_mst(pts, m, part, "gather", 1)
+    assert format_edges(tree) == expected
+    assert stats.tasks_executed == 3
+
+
+def test_without_fork_the_tasks_run_in_this_process(monkeypatch):
+    pts, m, part = _three_tasks()
+    forked, forked_stats = decomposed_mst(pts, m, part, "reduce", 3)
+    monkeypatch.delattr(os, "fork")
+    tree, stats = decomposed_mst(pts, m, part, "reduce", 3)
+    assert format_edges(tree) == format_edges(forked)
+    assert stats.distance_evals == forked_stats.distance_evals
+    assert stats.combine_input_sizes == forked_stats.combine_input_sizes
 
 
 def test_two_workers_leave_multiprocessing_unimported():

@@ -163,3 +163,9 @@ def test_cut_extremes(seed, n):
     d = mst_to_dendrogram(tree, n)
     assert d.cut(-1.0) == [[i] for i in range(n)]
     assert d.cut(d.height.max()) == [list(range(n))]
+
+
+def test_cut_at_nan_is_a_usage_error():
+    d = mst_to_dendrogram(EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)]), 3)
+    with pytest.raises(UsageError, match="NaN"):
+        d.cut(float("nan"))

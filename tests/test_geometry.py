@@ -164,6 +164,12 @@ def test_pointset_rejects_bad_shapes_and_ids():
         PointSet(np.zeros((2, 2)), ids=[0, 1, 2])
 
 
+def test_pointset_rejects_non_integer_ids():
+    with pytest.raises(UsageError, match="ids must be integers"):
+        PointSet(np.zeros((2, 2)), ids=[0.5, 1.5])
+    assert PointSet(np.zeros((2, 2)), ids=np.array([4, 9], dtype=np.uint8)).ids.tolist() == [4, 9]
+
+
 def test_empty_pointset_is_allowed():
     pts = PointSet(np.empty((0, 3)))
     assert pts.count == 0 and pts.dim == 3
@@ -180,6 +186,15 @@ def test_subset_indices_validation():
         subset_indices(pts, [1, 3, 1])
     with pytest.raises(UsageError):
         subset_indices(pts, [[0, 1]])
+
+
+def test_subset_indices_reject_floats_and_boolean_masks():
+    pts = PointSet(np.zeros((4, 1)))
+    with pytest.raises(UsageError, match="subset indices must be integers"):
+        subset_indices(pts, [0.7, 2.2])
+    with pytest.raises(UsageError, match="subset indices must be integers"):
+        subset_indices(pts, np.array([True, False, True, False]))
+    assert subset_indices(pts, []).tolist() == []
 
 
 def test_kernel_and_oracle_paths_leave_numpy_ma_unimported():
