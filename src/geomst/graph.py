@@ -3,7 +3,7 @@
 The (weight, u, v) lexicographic order is a strict total order on canonical
 edges, which makes the minimum spanning forest unique. EdgeList holds every
 edge list from the dense kernel to the TSV writer as u, v and w arrays in
-that order; Edge is only the per-edge view its iteration hands out.
+that order; it alone checks and orders edges, and Edge is its NamedTuple view.
 merges() is the package's one union-find scan: kruskal keeps the pairs it
 reports, the oracle finds the first overflowing pair the tree needs with it,
 and mst_to_dendrogram reads its roots as cluster ids.
@@ -12,34 +12,19 @@ and mst_to_dendrogram reads its roots as cluster ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import starmap
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected weighted edge on global vertex indices, stored with u < v."""
+class Edge(NamedTuple):
+    """One edge of an EdgeList, as its iteration hands it out: u < v, unchecked."""
 
     u: int
     v: int
     w: float
-
-    def __post_init__(self):
-        u, v, w = int(self.u), int(self.v), float(self.w)
-        if u == v:
-            raise UsageError(f"self-loop edge on vertex {u}")
-        if u > v:
-            u, v = v, u
-        if not math.isfinite(w):
-            raise UsageError(f"edge weight must be finite, got {w!r}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
 
 
 def edge_key(e: Edge) -> tuple[float, int, int]:
@@ -75,10 +60,6 @@ class EdgeList:
             arr.setflags(write=False)
 
     @classmethod
-    def of(cls, edges: Iterable[Edge]) -> EdgeList:
-        return cls(*zip(*((e.u, e.v, e.w) for e in edges)))
-
-    @classmethod
     def concat(cls, lists: Sequence[EdgeList]) -> EdgeList:
         """The edges of one or more lists, in one list."""
         return cls(
@@ -96,7 +77,7 @@ class EdgeList:
         return list(self)
 
     def __iter__(self) -> Iterator[Edge]:
-        return starmap(Edge, self.triples())
+        return map(Edge._make, self.triples())
 
     def __len__(self) -> int:
         return len(self.w)
@@ -146,14 +127,14 @@ def merges(u, v) -> list[tuple[int, int, int]]:
     return out
 
 
-def kruskal(candidates: EdgeList | Iterable[Edge], n: int | None = None) -> EdgeList:
-    """Minimum spanning forest of the candidate multigraph under the total order.
+def kruskal(candidates: EdgeList | Iterable[tuple], n: int | None = None) -> EdgeList:
+    """Minimum spanning forest of an EdgeList or of (u, v, w) tuples, under the total order.
 
     The forest is the pairs that merges() reports; n, when given, only bounds
     the ids. Duplicate pairs are harmless: the second copy closes a two-edge
     cycle.
     """
-    el = candidates if isinstance(candidates, EdgeList) else EdgeList.of(candidates)
+    el = candidates if isinstance(candidates, EdgeList) else EdgeList(*zip(*candidates))
     if n is not None:
         el.check_range(n)
     keep = [i for i, _, _ in merges(el.u, el.v)]

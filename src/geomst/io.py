@@ -65,8 +65,7 @@ def _read_csv(path) -> PointSet:
     count other than the line count hands the text to the row parser, the
     reference for what is accepted and for every error message.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty csv, cannot infer dimension")
     coords = None
@@ -78,6 +77,15 @@ def _read_csv(path) -> PointSet:
     if coords is None or coords.shape[0] != len(lines):
         coords = _parse_rows(path, lines)
     return PointSet(coords)
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, or DataError naming the offset of the first bad byte."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not valid UTF-8") from None
 
 
 def _parse_rows(path, lines) -> np.ndarray:
@@ -105,8 +113,8 @@ def _read_vecbin(path) -> PointSet:
     magic, n, d = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if d < 1:
-        raise DataError(f"{path}: dimension field is {d}, need at least 1")
+    if not 1 <= d < 2**60:  # numpy refuses a row of 2**63 bytes or more, even with n = 0
+        raise DataError(f"{path}: dimension field is {d}, need 1 to 2**60 - 1")
     expected = _HEADER.size + n * d * 8
     if len(blob) != expected:
         raise DataError(
@@ -143,10 +151,8 @@ def write_edges(tree: EdgeList, path) -> None:
 
 
 def read_edges(path) -> EdgeList:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     rows = []
-    for i, line in enumerate(lines):
+    for i, line in enumerate(_read_lines(path)):
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}: row {i} has {len(fields)} fields, expected 3")
@@ -156,6 +162,8 @@ def read_edges(path) -> EdgeList:
             raise DataError(f"{path}: row {i} contains an unparseable value") from None
         if u == v or not math.isfinite(w):
             raise DataError(f"{path}: row {i} is a self-loop or has a non-finite weight")
+        if not (0 <= u < 2**63 and 0 <= v < 2**63):
+            raise DataError(f"{path}: row {i} has a vertex id outside 0..2**63 - 1")
         rows.append((u, v, w))
     return EdgeList(*zip(*rows))
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import settings
 
-from geomst import Edge, edge_key
+from geomst import edge_key
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -34,16 +34,6 @@ def keys(tree) -> list[tuple]:
     return sorted(edge_key(e) for e in tree)
 
 
-def as_tuples(edges):
-    out = []
-    for e in edges:
-        if isinstance(e, Edge):
-            out.append((e.u, e.v, e.w))
-        else:
-            out.append(tuple(e))
-    return out
-
-
 def prim_msf(edges, n: int) -> list[tuple]:
     """MSF of an explicit sparse graph by repeated-scan Prim, per component.
 
@@ -51,7 +41,7 @@ def prim_msf(edges, n: int) -> list[tuple]:
     with it. Returns sorted canonical keys.
     """
     adj = defaultdict(list)
-    for u, v, w in as_tuples(edges):
+    for u, v, w in edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
     in_tree = [False] * n
@@ -137,7 +127,7 @@ def naive_cut(n: int, merges, h: float) -> set:
 def threshold_components(edges, n: int, h: float) -> set:
     """Connected components keeping only edges of weight <= h (plain BFS)."""
     adj = defaultdict(list)
-    for u, v, w in as_tuples(edges):
+    for u, v, w in edges:
         if w <= h:
             adj[u].append(v)
             adj[v].append(u)

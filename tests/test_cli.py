@@ -255,6 +255,14 @@ def test_malformed_csv_is_a_data_error(tmp_path, capsys):
     assert "row 1" in err
 
 
+def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff\n")
+    code, _, err = run(["mst", "--input", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "byte 6" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,11 +483,11 @@ def test_domain_error_in_a_worker_exits_2(tmp_path, capsys):
 
 def test_no_edge_object_is_built_from_kernel_to_file(tmp_path, monkeypatch, capsys):
     def refuse(self):
-        raise AssertionError("an Edge was built")
+        raise AssertionError("an EdgeList was iterated edge by edge")
 
-    monkeypatch.setattr(geomst.Edge, "__post_init__", refuse)
+    monkeypatch.setattr(geomst.EdgeList, "__iter__", refuse)
     with pytest.raises(AssertionError):
-        geomst.Edge(0, 1, 1.0)
+        geomst.EdgeList([0], [1], [1.0]).edges
     path = tmp_path / "points.csv"
     write_points(generate_instance(3, 40, 3, "clustered(3)"), str(path))
     base = ["--input", str(path), "--partitions", "3"]

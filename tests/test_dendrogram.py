@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from geomst import (
     Dendrogram,
-    Edge,
     EdgeList,
     Metric,
     PointSet,
@@ -26,18 +25,18 @@ def steps(d):
 
 
 def test_three_point_chain_trace():
-    tree = EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)])
+    tree = EdgeList([0, 1], [1, 2], [1.0, 2.0])
     d = mst_to_dendrogram(tree, 3)
     assert steps(d) == [(0, 1, 1.0, 2), (3, 2, 2.0, 3)]
 
 
 def test_two_point_single_step():
-    d = mst_to_dendrogram(EdgeList.of([Edge(0, 1, 5.0)]), 2)
+    d = mst_to_dendrogram(EdgeList([0], [1], [5.0]), 2)
     assert steps(d) == [(0, 1, 5.0, 2)]
 
 
 def test_single_leaf_has_no_steps():
-    d = mst_to_dendrogram(EdgeList.of([]), 1)
+    d = mst_to_dendrogram(EdgeList(), 1)
     assert steps(d) == []
     assert d.cut(0.0) == [[0]]
 
@@ -115,15 +114,15 @@ def test_cluster_ids_follow_step_order():
 
 def test_rejects_forests_and_cycles():
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList.of([Edge(0, 1, 1.0)]), 3)  # disconnected: too few edges
+        mst_to_dendrogram(EdgeList([0], [1], [1.0]), 3)  # disconnected: too few edges
     with pytest.raises(UsageError):
         mst_to_dendrogram(
-            EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 1.0)]), 4
+            EdgeList([0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0]), 4
         )  # cycle plus isolated vertex
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList.of([Edge(0, 3, 1.0)]), 2)  # endpoint out of range
+        mst_to_dendrogram(EdgeList([0], [3], [1.0]), 2)  # endpoint out of range
     with pytest.raises(UsageError):
-        mst_to_dendrogram(EdgeList.of([]), 0)
+        mst_to_dendrogram(EdgeList(), 0)
 
 
 def test_dendrogram_type_validates_its_invariants():
@@ -166,6 +165,6 @@ def test_cut_extremes(seed, n):
 
 
 def test_cut_at_nan_is_a_usage_error():
-    d = mst_to_dendrogram(EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)]), 3)
+    d = mst_to_dendrogram(EdgeList([0, 1], [1, 2], [1.0, 2.0]), 3)
     with pytest.raises(UsageError, match="NaN"):
         d.cut(float("nan"))

@@ -19,58 +19,59 @@ edges_st = st.lists(
         st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.25, 7.0]),
     ).filter(lambda t: t[0] != t[1]),
     max_size=40,
-).map(lambda ts: [Edge(u, v, w) for u, v, w in ts])
+)
 
 
 def order(*edges):
-    """The (w, u, v) keys of edges in the order an EdgeList holds them."""
-    return [(e.w, e.u, e.v) for e in EdgeList.of(edges)]
+    """The (w, u, v) keys of (u, v, w) tuples in the order an EdgeList holds them."""
+    return [(e.w, e.u, e.v) for e in EdgeList(*zip(*edges))]
 
 
 def test_order_breaks_weight_ties_by_endpoints():
-    assert order(Edge(0, 1, 2.0), Edge(2, 3, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
-    assert order(Edge(2, 3, 2.0), Edge(0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
+    assert order((0, 1, 2.0), (2, 3, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
+    assert order((2, 3, 2.0), (0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 2, 3)]
 
 
 def test_order_weight_dominates():
-    assert order(Edge(0, 1, 3.0), Edge(0, 5, 1.0)) == [(1.0, 0, 5), (3.0, 0, 1)]
+    assert order((0, 1, 3.0), (0, 5, 1.0)) == [(1.0, 0, 5), (3.0, 0, 1)]
 
 
 def test_order_identical_edges_compare_equal():
-    assert order(Edge(1, 2, 4.0), Edge(2, 1, 4.0)) == [(4.0, 1, 2), (4.0, 1, 2)]
-    assert EdgeList.of([Edge(1, 2, 4.0)]) == EdgeList.of([Edge(2, 1, 4.0)])
+    assert order((1, 2, 4.0), (2, 1, 4.0)) == [(4.0, 1, 2), (4.0, 1, 2)]
+    assert EdgeList([1], [2], [4.0]) == EdgeList([2], [1], [4.0])
 
 
 def test_order_second_endpoint_is_final_tiebreak():
-    assert order(Edge(0, 3, 2.0), Edge(0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 0, 3)]
+    assert order((0, 3, 2.0), (0, 1, 2.0)) == [(2.0, 0, 1), (2.0, 0, 3)]
 
 
-def test_edge_canonicalizes_endpoints():
-    e = Edge(5, 2, 1.0)
+def test_kruskal_canonicalizes_tuple_endpoints():
+    (e,) = kruskal([(5, 2, 1.0)])
     assert (e.u, e.v) == (2, 5)
 
 
-def test_edge_rejects_self_loops_and_non_finite_weights():
-    with pytest.raises(UsageError):
-        Edge(3, 3, 1.0)
-    with pytest.raises(UsageError):
-        Edge(0, 1, float("nan"))
-    with pytest.raises(UsageError):
-        Edge(0, 1, float("inf"))
+def test_kruskal_rejects_self_loop_and_non_finite_tuples():
+    with pytest.raises(UsageError, match="self-loop"):
+        kruskal([(3, 3, 1.0)])
+    with pytest.raises(UsageError, match="finite"):
+        kruskal([(0, 1, float("nan"))])
+    with pytest.raises(UsageError, match="finite"):
+        kruskal([(0, 1, float("inf"))])
 
 
 def test_kruskal_triangle_drops_heaviest_cycle_edge():
-    tri = [Edge(0, 1, 1.0), Edge(1, 2, 2.0), Edge(0, 2, 3.0)]
+    tri = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
     assert keys(kruskal(tri, 3)) == [(1.0, 0, 1), (2.0, 1, 2)]
 
 
 def test_kruskal_empty_candidates_give_empty_forest():
-    assert len(kruskal(EdgeList.of([]), 4)) == 0
+    assert len(kruskal([], 4)) == 0
+    assert len(kruskal(EdgeList(), 4)) == 0
 
 
 def test_kruskal_rejects_out_of_range_endpoints():
     with pytest.raises(UsageError):
-        kruskal([Edge(0, 5, 1.0)], 3)
+        kruskal([(0, 5, 1.0)], 3)
 
 
 def test_kruskal_output_is_sorted_by_edge_key():
@@ -88,7 +89,7 @@ def _random_edges(seed, count, n, weight_pool=(1.0, 2.0, 2.0, 3.0, 5.5, 8.25)):
         v = rng.below(n)
         if u == v:
             continue
-        edges.append(Edge(u, v, weight_pool[rng.below(len(weight_pool))]))
+        edges.append(Edge(min(u, v), max(u, v), weight_pool[rng.below(len(weight_pool))]))
     return edges
 
 
@@ -227,7 +228,7 @@ def test_early_exit_kruskal_equals_a_full_scan_and_stops_at_the_last_tree_edge(e
 
 
 def test_edgelist_sorted_and_total_weight():
-    el = EdgeList.of([Edge(2, 3, 1.0), Edge(0, 1, 1.0), Edge(0, 2, 0.5)])
+    el = EdgeList([2, 0, 0], [3, 1, 2], [1.0, 1.0, 0.5])
     assert [(e.w, e.u, e.v) for e in el] == [(0.5, 0, 2), (1.0, 0, 1), (1.0, 2, 3)]
     assert el.total_weight() == 2.5
 
@@ -237,7 +238,7 @@ def test_edgelist_arrays_are_canonical_ordered_and_read_only():
     assert el.u.dtype == np.int64 and el.v.dtype == np.int64 and el.w.dtype == np.float64
     assert el.u.tolist() == [0, 0, 1] and el.v.tolist() == [4, 2, 3]
     assert el.w.tolist() == [0.5, 1.0, 1.0]
-    assert el == EdgeList.of(el.edges) and el != EdgeList([0], [2], [1.0])
+    assert el == EdgeList(*zip(*el.edges)) and el != EdgeList([0], [2], [1.0])
     assert el.edges + el.edges == list(el) * 2
     with pytest.raises(ValueError):
         el.w[0] = 2.0
@@ -258,8 +259,8 @@ def test_edgelist_rejects_invalid_arrays(u, v, w, match):
 
 
 def test_concat_keeps_every_edge_in_order():
-    a = EdgeList.of([Edge(0, 1, 2.0), Edge(1, 2, 1.0)])
-    b = EdgeList.of([Edge(0, 1, 2.0), Edge(0, 2, 0.5)])
+    a = EdgeList([0, 1], [1, 2], [2.0, 1.0])
+    b = EdgeList([0, 0], [1, 2], [2.0, 0.5])
     joined = EdgeList.concat([a, b])
     assert [(e.w, e.u, e.v) for e in joined] == [(0.5, 0, 2), (1.0, 1, 2), (2.0, 0, 1), (2.0, 0, 1)]
     assert keys(kruskal(joined, 3)) == [(0.5, 0, 2), (1.0, 1, 2)]

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from geomst import (
     DataError,
-    Edge,
     EdgeList,
     Metric,
     PointSet,
@@ -100,7 +99,7 @@ def test_edge_file_round_trip_is_exact(tmp_path):
 
 
 def test_edge_file_golden_bytes(tmp_path):
-    tree = EdgeList.of([Edge(1, 2, 2.0), Edge(0, 1, 1.0)])
+    tree = EdgeList([1, 0], [2, 1], [2.0, 1.0])
     path = tmp_path / "tree.tsv"
     write_edges(tree, path)
     assert path.read_text() == "0\t1\t1.0\n1\t2\t2.0\n"
@@ -110,12 +109,12 @@ def test_edge_file_golden_bytes(tmp_path):
 def test_edges_write_weights_round_trippably(tmp_path):
     w = 0.1 + 0.2  # 0.30000000000000004
     path = tmp_path / "tree.tsv"
-    write_edges(EdgeList.of([Edge(0, 1, w)]), path)
+    write_edges(EdgeList([0], [1], [w]), path)
     assert read_edges(path).edges[0].w == w
 
 
 def test_dendrogram_file_golden_bytes(tmp_path):
-    tree = EdgeList.of([Edge(0, 1, 1.0), Edge(1, 2, 2.0)])
+    tree = EdgeList([0, 1], [1, 2], [1.0, 2.0])
     d = mst_to_dendrogram(tree, 3)
     path = tmp_path / "dendro.tsv"
     write_dendrogram(d, path)
@@ -163,6 +162,13 @@ def test_non_finite_csv_rejected_with_row(tmp_path):
         read_points(p)
     p.write_text("inf,0\n")
     with pytest.raises(DataError, match="point 0"):
+        read_points(p)
+
+
+def test_non_utf8_csv_names_the_byte(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(DataError, match="byte 6 is not valid UTF-8"):
         read_points(p)
 
 
@@ -305,6 +311,16 @@ def test_vecbin_zero_dimension_rejected(tmp_path):
         read_points(p)
 
 
+@pytest.mark.parametrize("d", [2**60, 2**63, 2**64 - 1])
+def test_vecbin_dimension_beyond_numpy_sizes_rejected(d, tmp_path):
+    p = tmp_path / "bad.vecbin"
+    p.write_bytes(b"VEC1" + struct.pack("<QQ", 0, d))
+    with pytest.raises(DataError, match="dimension"):
+        read_points(p)
+    p.write_bytes(b"VEC1" + struct.pack("<QQ", 0, 2**60 - 1))
+    assert read_points(p).dim == 2**60 - 1
+
+
 def test_vecbin_non_finite_named(tmp_path):
     p = tmp_path / "bad.vecbin"
     p.write_bytes(b"VEC1" + struct.pack("<QQ", 2, 1) + struct.pack("<2d", 1.0, float("nan")))
@@ -342,6 +358,21 @@ def test_malformed_edge_file(tmp_path):
         read_edges(p)
     p.write_text("2\t2\t1.0\n")
     with pytest.raises(DataError, match="row 0"):
+        read_edges(p)
+
+
+@pytest.mark.parametrize("row", ["-1\t2\t1.0", "2\t-1\t1.0", f"0\t{2**63}\t1.0"])
+def test_edge_file_vertex_ids_must_fit_int64_and_be_non_negative(row, tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_text("0\t1\t1.0\n" + row + "\n")
+    with pytest.raises(DataError, match="row 1 has a vertex id outside"):
+        read_edges(p)
+
+
+def test_non_utf8_edge_file_names_the_byte(tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(b"0\t1\t1.0\n\xff\n")
+    with pytest.raises(DataError, match="byte 8 is not valid UTF-8"):
         read_edges(p)
 
 
