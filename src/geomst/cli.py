@@ -41,7 +41,7 @@ from .io import (
     write_edges,
     write_stats,
 )
-from .oracle import check_substructure, oracle_mst
+from .oracle import DEFAULT_MAX_POINTS, check_substructure, oracle_mst
 from .rng import SplitMix64
 from .stats import RunStats
 
@@ -202,6 +202,8 @@ def cmd_mst(args) -> int:
 
 def cmd_verify(args) -> int:
     points, metric = _load(args)
+    if points.count > DEFAULT_MAX_POINTS:
+        raise UsageError(f"verify takes at most {DEFAULT_MAX_POINTS} points, got {points.count}")
     tree, stats, k, workers = _compute(args, points, metric)
     failures = 0
 

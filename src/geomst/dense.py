@@ -43,13 +43,13 @@ Step bound. For euclidean, squared_euclidean and cosine_distance (on unit
 rows) from d = _BOUND_FROM up, a step first bounds every frontier row from
 below with one matrix-vector product and evaluates Metric.block only on
 the rows whose bound is not strictly above their frontier weight. A row
-skipped that way has an exact value strictly above its entry, so it could
-neither improve nor tie it: best_w only ever holds Metric.block values,
-the (w, u, v) rule and the bits are those of the full update, and BLAS
-only decides which exact values are computed. The counter keeps its
-closed form, since every pair is still bounded or evaluated once. Each
-row's bias, scale * (1 - c) * |x|^2, is computed once per task and moves
-with its row; the step computes
+skipped that way keeps its bound in the step's one update, where the
+bound, strictly above the row's entry, neither improves nor ties it (a
+step that skips every row has nothing to update): best_w only ever holds
+Metric.block values, and BLAS only decides which exact values are
+computed. The counter keeps its closed form, since every pair is still
+bounded or evaluated once. Each row's bias, scale * (1 - c) * |x|^2, is
+computed once per task and moves with its row; the step computes
 
     lo = work[t+1:] @ (-2 * scale * a) + bias[t+1:] + (bias_a - floor)
 
@@ -194,32 +194,26 @@ def dense_mst(
         tail_from = best_from[t + 1 :]
         if bias is None:
             fresh = block(row, work[t + 1 :])
-            improve = fresh < tail_w
-            ties = fresh == tail_w
-            if np.count_nonzero(ties):
-                improve |= ties & _precedes(g, tail_from, gid[t + 1 :])
-            np.minimum(tail_w, fresh, out=tail_w)
-            np.putmask(tail_from, improve, g)
-            continue
-        # The bound of every frontier row, on the scale of tail_w; only the
-        # rows it does not put strictly above their entry are evaluated.
-        lo = work[t + 1 :] @ (row * (-2.0 * scale))
-        lo += bias[t + 1 :]
-        lo += row_bias - floor
-        if root:
-            np.sqrt(lo, out=lo)  # a negative bound becomes NaN, which is evaluated
-        near = np.flatnonzero(~(lo > tail_w))
-        if not near.size:
-            continue
-        fresh = block(row, work[near + (t + 1)])
-        old = tail_w[near]
-        improve = fresh < old
-        ties = fresh == old
+        else:
+            # The bound of every frontier row, on the scale of tail_w; only
+            # the rows it does not put strictly above their entry are
+            # evaluated, and every other row keeps its bound.
+            lo = work[t + 1 :] @ (row * (-2.0 * scale))
+            lo += bias[t + 1 :]
+            lo += row_bias - floor
+            if root:
+                np.sqrt(lo, out=lo)  # a negative bound becomes NaN, which is evaluated
+            near = np.flatnonzero(~(lo > tail_w))
+            if not near.size:
+                continue
+            lo[near] = block(row, work[near + (t + 1)])
+            fresh = lo
+        improve = fresh < tail_w
+        ties = fresh == tail_w
         if np.count_nonzero(ties):
-            improve |= ties & _precedes(g, tail_from[near], gid[t + 1 :][near])
-        hit = near[improve]
-        tail_w[hit] = fresh[improve]
-        tail_from[hit] = g
+            improve |= ties & _precedes(g, tail_from, gid[t + 1 :])
+        np.minimum(tail_w, fresh, out=tail_w)
+        np.putmask(tail_from, improve, g)
 
     if stats is not None:
         stats.distance_evals += m * (m - 1) // 2

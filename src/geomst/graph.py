@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import UsageError
+from .geometry import _int64_array
 
 
 class Edge(NamedTuple):
@@ -35,15 +36,16 @@ def edge_key(e: Edge) -> tuple[float, int, int]:
 class EdgeList:
     """Edges as read-only arrays u (int64), v (int64), w (float64), u < v, in (w, u, v) order.
 
-    The constructor takes the endpoints in either order, rejects self-loops
-    and non-finite weights, and sorts with one lexsort, so every EdgeList is
-    ordered and two are equal when their arrays are.
+    The constructor takes the endpoints in either order, rejects non-integer
+    endpoints, self-loops and non-finite weights, and sorts with one
+    lexsort, so every EdgeList is ordered and two are equal when their
+    arrays are.
     """
 
     __slots__ = ("u", "v", "w")
 
     def __init__(self, u=(), v=(), w=()):
-        a, b = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        a, b = _int64_array(u, "edge endpoints"), _int64_array(v, "edge endpoints")
         w = np.asarray(w, dtype=np.float64)
         if a.ndim != 1 or not a.shape == b.shape == w.shape:
             raise UsageError("u, v and w must be flat arrays of one length")

@@ -33,7 +33,7 @@ import statistics
 from time import perf_counter
 
 import pytest
-from conftest import keys, naive_cut, naive_single_linkage, pairwise_matrix
+from reference import keys, naive_cut, naive_single_linkage, pairwise_matrix
 
 from geomst import (
     METRIC_NAMES,

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import no_child_processes
+from reference import no_child_processes
 
 import geomst
 import geomst.cli as cli
@@ -348,6 +348,20 @@ def test_verify_builds_the_whole_forest_once_and_one_subset_forest_per_trial(
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
     assert [s is None for s in subsets] == [True] + [False] * 5
+
+
+def test_verify_above_the_oracle_cap_is_refused_before_decomposing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify decomposed an input it cannot verify")
+
+    monkeypatch.setattr(cli, "decomposed_mst", refuse)
+    path = tmp_path / "big.csv"
+    write_points(PointSet(np.arange(2049.0)[:, None]), str(path))
+    code, out, err = run(["verify", "--input", str(path), "--workers", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert any(line.startswith("error:") and "2048" in line for line in err.splitlines())
+    assert "max_points" not in err
 
 
 def test_verify_negative_trials_rejected(square_csv, capsys):

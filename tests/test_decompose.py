@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import keys, no_child_processes
+from reference import keys, no_child_processes
 from hypothesis import given
 from hypothesis import strategies as st
 

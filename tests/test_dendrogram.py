@@ -1,7 +1,7 @@
 """MST-to-single-linkage conversion: pinned traces, naive oracle, cuts."""
 
 import pytest
-from conftest import naive_cut, naive_single_linkage, pairwise_matrix, threshold_components
+from reference import naive_cut, naive_single_linkage, pairwise_matrix, threshold_components
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import keys
+from reference import keys
 from hypothesis import given
 from hypothesis import strategies as st
 

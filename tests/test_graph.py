@@ -4,7 +4,7 @@ from collections import defaultdict
 from unittest import mock
 
 import pytest
-from conftest import keys, prim_msf
+from reference import keys, prim_msf
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -57,6 +57,11 @@ def test_kruskal_rejects_self_loop_and_non_finite_tuples():
         kruskal([(0, 1, float("nan"))])
     with pytest.raises(UsageError, match="finite"):
         kruskal([(0, 1, float("inf"))])
+
+
+def test_kruskal_rejects_non_integer_tuple_endpoints():
+    with pytest.raises(UsageError, match="edge endpoints must be integers"):
+        kruskal([(0.5, 2, 1.0), (2, 3.9, 0.5)])
 
 
 def test_kruskal_triangle_drops_heaviest_cycle_edge():
@@ -251,6 +256,8 @@ def test_edgelist_arrays_are_canonical_ordered_and_read_only():
         ([0], [1], [float("nan")], "must be finite, got nan"),
         ([0, 2], [1, 3], [1.0, float("inf")], "must be finite, got inf"),
         ([0, 1], [1], [1.0, 2.0], "one length"),
+        ([0.5], [1.7], [1.0], "edge endpoints must be integers, got dtype float64"),
+        (np.array([True]), np.array([False]), [1.0], "must be integers, got dtype bool"),
     ],
 )
 def test_edgelist_rejects_invalid_arrays(u, v, w, match):
