@@ -8,6 +8,17 @@ decomposed result, the dense kernel and the brute-force oracle agree edge
 for edge, bit for bit.
 """
 
+import os
+import sys
+
+# The forked worker processes are the package's only parallelism. OpenBLAS
+# reads this variable once, when numpy loads it, and otherwise starts a
+# spinning thread pool in every process, which the workers then compete
+# with. A value already exported wins, and a caller that imported numpy
+# first keeps its BLAS as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .datagen import DISTRIBUTIONS, generate_instance
 from .decompose import (
     MERGE_STRATEGIES,

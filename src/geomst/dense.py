@@ -58,7 +58,25 @@ so lo approximates the metric's value before any root. At m = 750 a task
 took 176-220 -> 36-53 ms at d = 256 and 46-54 -> 23-28 ms at d = 64
 (2-vCPU x86_64, OpenBLAS 0.3.31); at d = 16 the bound was 12-23% faster
 at m = 750 but even at m = 300 and slower at m = 100, so it starts at
-d = 32, where it won at m >= 300 (it still loses at m = 100).
+d = 32, where it won at m >= 300 (it still loses at m = 100: 1.90 -> 2.28
+ms at d = 32 with one BLAS thread, 14 of 15 alternating pairs).
+
+Gram. The gemv does one multiply-add per frontier value it reads, so at
+high d each step is bound by memory traffic, not arithmetic, while a GEMM
+reuses every row it loads. From d = _GRAM_FROM a bounded task therefore
+computes work @ work.T once, times -2 * scale (exact, a power of two), and
+a step reads its dot terms as gram[row_pos][pos[t+1:]], where pos holds
+each row's index into the Gram and moves with the row as the bias does.
+The Gram holds m*m doubles (4.5 MB at m = 750), so it is used only within
+_GRAM_MAX_BYTES and the gemv serves larger tasks. With one BLAS thread and
+two workers solving tasks at once (same host), the Gram took 0.84-1.00 of
+the gemv's time at d = 128 and m = 1500 (it tied at d = 96 and lost at d =
+64), and at d = 256 0.46-0.94 at m = 750, 0.57-0.77 at m = 1500, 0.39-0.50
+at m = 3000 and 0.44-0.57 at m = 4500 (a 162 MB Gram per worker). It still
+wins there, so the cap only bounds memory: 128 MiB (m <= 4096) per
+process. The Gram's entries differ from the gemv's only in rounding, which
+the bound below covers, so the Gram changes which rows are evaluated,
+never a weight or the counter.
 
 Why lo never exceeds the computed value (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, section 3.1). Let u = 2^-53, eta = 2^-1074
@@ -72,8 +90,9 @@ M - 2P, all exact. Then:
 - A rounded squared norm, in any order, is within g(d) |x|^2 + d eta / 2
   of the exact one, and the bias adds one more rounding.
 - A dot product computed in any order, with or without fused multiply-add
-  (any BLAS, or einsum), is within g(d) sum |a_i b_i| + d eta <= g(d) M / 2
-  + d eta of the exact one (Cauchy-Schwarz); scaling by -2 scale is exact.
+  (any BLAS gemv or GEMM at any thread count, or einsum), is within
+  g(d) sum |a_i b_i| + d eta <= g(d) M / 2 + d eta of the exact one
+  (Cauchy-Schwarz); scaling by -2 scale is exact.
 - The two additions that form lo round by at most u times a magnitude
   below 3 scale M each.
 
@@ -116,6 +135,11 @@ _BOUND_SCALE = {"euclidean": 1.0, "squared_euclidean": 1.0, "cosine_distance": 0
 _NORM_LIMIT = 2.0**1020
 # Per-coordinate allowance for products that underflow into subnormals.
 _UNDERFLOW_SLACK = 2.0**-1060
+# From this d up a bounded task takes its dot products from one Gram matrix
+# instead of a gemv per step, as long as its m*m doubles fit the cap; the
+# threshold is measured, the cap bounds memory (see the module docstring).
+_GRAM_FROM = 128
+_GRAM_MAX_BYTES = 128 * 2**20
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -146,6 +170,10 @@ def dense_mst(
         scale = _BOUND_SCALE[metric.kind]
         root = metric.kind == "euclidean"
         floor = points.dim * _UNDERFLOW_SLACK
+        gram = None
+        if points.dim >= _GRAM_FROM and m * m * 8 <= _GRAM_MAX_BYTES:
+            gram = _scaled_gram(work, scale)
+        pos = np.arange(m)  # each row's index into gram; it moves with the row
 
     # Rows are physically reordered as vertices join the tree: positions
     # [0, t) are in-tree, [t, m) are outside, so the frontier is always a
@@ -180,6 +208,8 @@ def dense_mst(
         if bias is not None:
             row_bias = bias[q]
             bias[q] = bias[t]
+            row_pos = pos[q]
+            pos[q] = pos[t]
         if q == t:
             row = work[t]
         else:
@@ -198,7 +228,10 @@ def dense_mst(
             # The bound of every frontier row, on the scale of tail_w; only
             # the rows it does not put strictly above their entry are
             # evaluated, and every other row keeps its bound.
-            lo = work[t + 1 :] @ (row * (-2.0 * scale))
+            if gram is None:
+                lo = work[t + 1 :] @ (row * (-2.0 * scale))
+            else:
+                lo = gram[row_pos][pos[t + 1 :]]
             lo += bias[t + 1 :]
             lo += row_bias - floor
             if root:
@@ -253,3 +286,14 @@ def _bound_bias(work: np.ndarray, kind: str) -> np.ndarray | None:
         return None
     sq *= _BOUND_SCALE[kind] * (1.0 - (2 * d + 16) * 2.0**-52)
     return sq
+
+
+def _scaled_gram(work: np.ndarray, scale: float) -> np.ndarray:
+    """Every row's dot product with every row, times -2 * scale.
+
+    -2 * scale is -2 or -1, so the scaling is exact, and entry (i, j) stands
+    in for the step's gemv term of rows i and j (see the module docstring).
+    """
+    gram = work @ work.T
+    gram *= -2.0 * scale
+    return gram

@@ -1,5 +1,6 @@
 """Pairwise-partition decomposition: equivalence, counters, merge strategies."""
 
+import json
 import os
 import subprocess
 import sys
@@ -365,6 +366,58 @@ def test_two_workers_leave_multiprocessing_unimported():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# Prints OpenBLAS's thread count and OPENBLAS_NUM_THREADS after the given
+# imports, or exits 3 where numpy does not bundle scipy-openblas.
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+{imports}
+try:
+    import numpy._core._multiarray_umath as umath
+    count = ctypes.CDLL(umath.__file__).scipy_openblas_get_num_threads64_
+except (ImportError, AttributeError):
+    sys.exit(3)
+count.restype = ctypes.c_int
+print(json.dumps([count(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def _blas_threads(imports, exported=None):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE.format(imports=imports)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if done.returncode == 3:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
+
+
+def test_importing_geomst_first_gives_blas_one_thread():
+    assert _blas_threads("import geomst") == [1, "1"]
+
+
+def test_an_exported_blas_thread_count_is_kept():
+    # OpenBLAS caps the count at the usable cores, so numpy alone is the reference
+    exported = _blas_threads("import numpy", exported="2")
+    assert exported[1] == "2"
+    assert _blas_threads("import geomst", exported="2") == exported
+
+
+def test_importing_numpy_first_leaves_blas_alone():
+    untouched = _blas_threads("import numpy")
+    assert untouched[1] is None
+    assert _blas_threads("import numpy\nimport geomst") == untouched
 
 
 def test_partition_strategies_do_not_change_the_answer():

@@ -351,3 +351,47 @@ def test_the_bound_prunes_exact_evaluations_only_where_it_applies(name):
             assert sum(rows) < n * (n - 1) // 4, d
         else:
             assert sum(rows) == n * (n - 1) // 2, d
+
+
+@pytest.mark.parametrize("d", (128, 256, 768))
+@pytest.mark.parametrize("name", BOUNDED)
+def test_gram_and_gemv_give_the_same_tree_and_counter(name, d, monkeypatch):
+    # A bounded task takes each step's dot terms from one Gram matrix or from
+    # a gemv; other rounding may change which rows are evaluated, never a
+    # weight, a tie's winner or the counter.
+    grams = []
+    real_gram = dense_module._scaled_gram
+    monkeypatch.setattr(
+        dense_module, "_scaled_gram", lambda work, scale: grams.append(len(work)) or real_gram(work, scale)
+    )
+    rows = []
+
+    class CountingMetric(Metric):
+        __slots__ = ()
+
+        def block(self, a, block_rows):
+            rows.append(len(block_rows))
+            return super().block(a, block_rows)
+
+    rng = np.random.default_rng(7000 + d)
+    n = 90
+    for kind in ("gaussian", "duplicates", "offset_clusters", "one_beyond_norm_limit"):
+        if kind == "one_beyond_norm_limit":
+            coords = rng.standard_normal((n, d))
+            coords[17, 0] = 5e153  # squared norm 2.5e307 > 2^1020, every distance finite
+        else:
+            coords = _adversarial(kind, n, d, rng)
+        pts = PointSet(coords, ids=rng.choice(25 * n, size=n, replace=False))
+        expected = _bits(oracle_mst(pts, Metric(name)))
+        for gram_from, gram_bytes, source in ((0, 2**40, "gram"), (10**9, 0, "gemv")):
+            monkeypatch.setattr(dense_module, "_GRAM_FROM", gram_from)
+            monkeypatch.setattr(dense_module, "_GRAM_MAX_BYTES", gram_bytes)
+            grams.clear()
+            rows.clear()
+            stats = RunStats()
+            assert _bits(dense_mst(pts, CountingMetric(name), stats)) == expected, (kind, source)
+            assert stats.distance_evals == n * (n - 1) // 2
+            # cosine bounds on unit rows, whose norms never reach the limit
+            unbounded = kind == "one_beyond_norm_limit" and name != "cosine_distance"
+            assert grams == ([n] if source == "gram" and not unbounded else []), (kind, source)
+            assert (sum(rows) == n * (n - 1) // 2) == unbounded, (kind, source)
