@@ -12,7 +12,10 @@ distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
 parallel too, not only the numpy arithmetic that releases the GIL. The
 calling process solves one share of the tasks itself and forks one child
-per other share; the children inherit the points and the task list, and
+per other share. A share hands out its tasks in batches of one size: a
+batch of two or more runs in lockstep (dense.lockstep_mst), one step for
+all of them, and a single task, or one whose steps dense_mst bounds, runs
+alone. The children inherit the points and the task list, and
 each returns its task trees as pickled EdgeList arrays plus evaluation
 counts over a pipe. The trees are merged in task order whatever order the
 shares finish in. With one worker, as with one block or where os.fork does
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_mst
+from .dense import dense_mst, lockstep_mst, lockstep_width
 from .errors import UsageError
 from .geometry import Metric, PointSet, _int64_array
 from .graph import EdgeList, kruskal
@@ -178,6 +181,25 @@ def _solve_task(points: PointSet, metric: Metric, subset) -> tuple[EdgeList, int
     return tree, local.distance_evals
 
 
+def _solve_batch(points: PointSet, metric: Metric, subsets) -> tuple[list, Exception | None]:
+    """(tree, evals) of each task in order, up to the first that fails; and its error.
+
+    One task is solved alone; more run in lockstep, so they need one size and
+    a lockstep_width of at least their number.
+    """
+    if len(subsets) == 1:
+        try:
+            return [_solve_task(points, metric, subsets[0])], None
+        except Exception as exc:
+            return [], exc
+    local = [RunStats() for _ in subsets]
+    try:
+        trees, exc = lockstep_mst(points, metric, subsets, local)
+    except Exception as exc:  # not one task's own error, so it stops the batch at its first task
+        return [], exc
+    return [(tree, st.distance_evals) for tree, st in zip(trees, local)], exc
+
+
 def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
     """Every task's result, in task order, from this process and workers - 1 forked children.
 
@@ -223,16 +245,33 @@ def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
 
 
 def _solve_share(points, metric, tasks, s: int, workers: int, failed) -> tuple:
-    """Results of tasks s, s + workers, ... in order, up to the first failure; and its error."""
+    """Results of tasks s, s + workers, ... in order, up to the first failure; and its error.
+
+    The share hands out its tasks in batches of one size, up to
+    lockstep_width tasks each, the sizes in the order of their first task.
+    A task is skipped once a task before it has failed.
+    """
+    mine = range(s, len(tasks), workers)
+    groups: dict = {}
+    for i in mine:
+        groups.setdefault(points.count if tasks[i] is None else len(tasks[i]), []).append(i)
+    batches = []
+    for size, group in groups.items():
+        width = lockstep_width(metric, points.dim, size)
+        batches += [group[j : j + width] for j in range(0, len(group), width)]
+    results, errors = {}, {}
+    for batch in batches:
+        batch = [i for i in batch if failed.find(b"\x01", 0, i) < 0]
+        done, exc = _solve_batch(points, metric, [tasks[i] for i in batch])
+        results.update(zip(batch, done))
+        if exc is not None:
+            failed[batch[len(done)]] = 1
+            errors[batch[len(done)]] = exc
     done = []
-    for i in range(s, len(tasks), workers):
-        if failed.find(b"\x01", 0, i) >= 0:
-            break  # an earlier task failed, so this one's result is not needed
-        try:
-            done.append(_solve_task(points, metric, tasks[i]))
-        except Exception as exc:
-            failed[i] = 1
-            return done, exc
+    for i in mine:
+        if i not in results:
+            return done, errors.get(i)
+        done.append(results[i])
     return done, None
 
 

@@ -218,25 +218,27 @@ class Metric:
         """Distances from one prepared row to a block of prepared rows.
 
         This is the single evaluation routine behind every distance in the
-        package; see the module docstring for why that matters.
+        package; see the module docstring for why that matters. Leading axes
+        broadcast, as a (T, 1, d) row against a (T, r, d) block; each row is
+        reduced over the last axis.
         """
         kind = self.kind
         if kind == "euclidean":
             diff = rows - a
             diff *= diff
-            return np.sqrt(diff.sum(axis=1))
+            return np.sqrt(diff.sum(axis=-1))
         if kind == "squared_euclidean":
             diff = rows - a
             diff *= diff
-            return diff.sum(axis=1)
+            return diff.sum(axis=-1)
         if kind == "manhattan":
-            return np.abs(rows - a).sum(axis=1)
+            return np.abs(rows - a).sum(axis=-1)
         if kind == "chebyshev":
-            return np.abs(rows - a).max(axis=1)
+            return np.abs(rows - a).max(axis=-1)
         # cosine_distance, on unit rows
         diff = rows - a
         diff *= diff
-        return 0.5 * diff.sum(axis=1)
+        return 0.5 * diff.sum(axis=-1)
 
 
 def distance(metric: Metric, a, b, stats: RunStats | None = None) -> float:

@@ -133,11 +133,18 @@ def kruskal(candidates: EdgeList | Iterable[tuple], n: int | None = None) -> Edg
     """Minimum spanning forest of an EdgeList or of (u, v, w) tuples, under the total order.
 
     The forest is the pairs that merges() reports; n, when given, only bounds
-    the ids. Duplicate pairs are harmless: the second copy closes a two-edge
+    the ids. An edge given more than once sits next to its copies in (w, u, v)
+    order, and the scan sees only the first: a copy would close a two-edge
     cycle.
     """
     el = candidates if isinstance(candidates, EdgeList) else EdgeList(*zip(*candidates))
     if n is not None:
         el.check_range(n)
-    keep = [i for i, _, _ in merges(el.u, el.v)]
-    return EdgeList(el.u[keep], el.v[keep], el.w[keep])
+    u, v, w = el.u, el.v, el.w
+    copy = (u[1:] == u[:-1]) & (v[1:] == v[:-1]) & (w[1:] == w[:-1])
+    if copy.any():
+        first = np.flatnonzero(np.concatenate(([True], ~copy)))
+        keep = first[[i for i, _, _ in merges(u[first], v[first])]]
+    else:  # no copies, as in the oracle's pairs: nothing to drop, and nothing copied
+        keep = [i for i, _, _ in merges(u, v)]
+    return EdgeList(u[keep], v[keep], w[keep])

@@ -1,10 +1,12 @@
 """Pairwise-partition decomposition: equivalence, counters, merge strategies."""
 
 import json
+import mmap
 import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from hypothesis import strategies as st
 
 import geomst
 import geomst.decompose as decompose
+import geomst.dense as dense_module
 from geomst import (
     METRIC_NAMES,
     MERGE_STRATEGIES,
     Metric,
     MetricDomainError,
     PARTITION_STRATEGIES,
+    DataError,
     Partition,
     PointSet,
     RunStats,
@@ -210,14 +214,52 @@ def test_merge_strategies_are_byte_identical():
 
 
 def test_workers_do_not_change_the_answer():
-    pts = generate_instance(14, 66, 4, "gaussian")
-    m = Metric("euclidean")
-    part = make_partition(66, 6)
-    texts = set()
-    for workers in (1, 2, 5):
-        tree, _ = decomposed_mst(pts, m, part, "gather", workers)
-        texts.add(format_edges(tree))
-    assert len(texts) == 1
+    # 66 points in 6 blocks give tasks of one size; 70 give sizes 22, 23 and
+    # 24, which each worker count batches differently.
+    for n in (66, 70):
+        pts = generate_instance(14, n, 4, "gaussian")
+        m = Metric("euclidean")
+        part = make_partition(n, 6)
+        outputs = set()
+        for workers in (1, 2, 3, 5):
+            tree, stats = decomposed_mst(pts, m, part, "gather", workers)
+            outputs.add((format_edges(tree), stats.distance_evals, stats.edges_gathered))
+        assert len(outputs) == 1, n
+
+
+@pytest.mark.parametrize(
+    "name, d, cap, batches",
+    [
+        ("manhattan", 3, None, [[24] * 6, [23] * 8, [22]]),
+        # 4 tasks of 23 or 24 points in 3 + 3 floats each fit 4608 bytes
+        ("manhattan", 3, 4608, [[24] * 4, [24] * 2, [23] * 4, [23] * 4, [22]]),
+        # a task whose steps are bounded is solved alone
+        ("euclidean", 32, None, [[24]] * 6 + [[23]] * 8 + [[22]]),
+    ],
+)
+def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, cap, batches, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(dense_module, "_LOCKSTEP_MAX_BYTES", cap)
+    pts = generate_instance(21, 70, d, "gaussian")
+    m = Metric(name)
+    blocks = make_partition(70, 6).blocks  # four blocks of 12 points, two of 11
+    tasks = [np.concatenate((a, b)) for a, b in combinations(blocks, 2)]
+    sizes = []
+    solve = decompose._solve_batch
+
+    def recording(points, metric, subsets):
+        sizes.append([len(s) for s in subsets])
+        return solve(points, metric, subsets)
+
+    monkeypatch.setattr(decompose, "_solve_batch", recording)
+    with mmap.mmap(-1, len(tasks)) as failed:
+        done, exc = decompose._solve_share(pts, m, tasks, 0, 1, failed)
+    assert exc is None
+    assert sizes == batches
+    for task, (tree, evals) in zip(tasks, done, strict=True):
+        alone = RunStats()
+        assert format_edges(tree) == format_edges(dense_mst(pts, m, alone, subset=task))
+        assert evals == alone.distance_evals
 
 
 def test_worker_errors_come_through_unchanged():
@@ -231,23 +273,29 @@ def test_worker_errors_come_through_unchanged():
 
 
 def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.0, exc=ValueError):
-    """Patch the task solver so the named block pairs' tasks raise, in this process or a child."""
+    """Patch the batch solver so the named block pairs' tasks fail, in this process or a child.
+
+    A failing task ends its batch: the tasks before it in the batch are
+    solved, and the error is its result; an interrupt is raised instead.
+    """
     parent = os.getpid()
-    solve = decompose._solve_task
+    solve = decompose._solve_batch
     blocks = _three_tasks()[2].blocks
 
-    def patched(points, metric, subset):
-        pair = tuple(i for i, b in enumerate(blocks) if np.isin(b, subset).all())
-        if os.getpid() == parent:
-            if pair in parent_fails:
-                raise exc(f"task {pair}")
-        else:
+    def patched(points, metric, subsets):
+        fails = parent_fails
+        if os.getpid() != parent:
             time.sleep(child_sleeps)
-            if pair in child_fails:
-                raise exc(f"task {pair}")
-        return solve(points, metric, subset)
+            fails = child_fails
+        for j, subset in enumerate(subsets):
+            pair = tuple(i for i, b in enumerate(blocks) if np.isin(b, subset).all())
+            if pair in fails:
+                if not issubclass(exc, Exception):
+                    raise exc(f"task {pair}")
+                return solve(points, metric, subsets[:j])[0], exc(f"task {pair}")
+        return solve(points, metric, subsets)
 
-    monkeypatch.setattr(decompose, "_solve_task", patched)
+    monkeypatch.setattr(decompose, "_solve_batch", patched)
 
 
 def _three_tasks():
@@ -276,8 +324,8 @@ def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypat
 
 
 def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypatch):
-    # Two workers: the parent solves tasks 0 and 2, the child task 1, which
-    # is slow enough that the parent's error comes first in time.
+    # Two workers: the parent solves tasks 0 and 2 in one batch, the child
+    # task 1, which is slow enough that the parent's error comes first in time.
     _failing_tasks(monkeypatch, parent_fails=[(1, 2)], child_fails=[(0, 2)], child_sleeps=1.0)
     pts, m, part = _three_tasks()
     with pytest.raises(ValueError, match=r"task \(0, 2\)"):
@@ -285,16 +333,57 @@ def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypat
     assert no_child_processes()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_first_overflow_in_task_order_wins_inside_a_lockstep_batch(workers):
+    # Manhattan distances between 1-D points of opposite sign at least
+    # 0.9e308 from 0 overflow. Blocks 2 to 4 hold such points, so tasks
+    # (2, 3), (2, 4) and (3, 4) all need an overflowing edge: at steps 6, 4
+    # and 2, the reverse of task order.
+    # Every task has 8 points, so each share solves its tasks in one batch,
+    # and the tasks before (2, 3) finish first.
+    big = 1e308 * np.array([1.0, 0.98, 0.96, 0.94, 0.92, 0.9, -0.92, -0.9])
+    neg = -1e308 * np.array([1.0, 0.98, 0.96, 0.94])
+    coords = np.concatenate((np.arange(4.0), np.arange(10.0, 14.0), big[:4], big[4:], neg))
+    pts = PointSet(coords[:, None])
+    m = Metric("manhattan")
+    part = make_partition(20, 5)
+    with pytest.raises(DataError) as expected:
+        dense_mst(pts, m, subset=np.concatenate(part.blocks[2:4]))
+    with pytest.raises(DataError) as caught:
+        decomposed_mst(pts, m, part, "gather", workers)
+    assert str(caught.value) == str(expected.value)
+    assert no_child_processes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_a_zero_vector_behind_a_finished_task_is_reported_in_task_order(workers):
+    # Zero rows in blocks 2 and 3: tasks (0, 2), (0, 3), (1, 2), (1, 3) and
+    # (2, 3) fail their domain check, (0, 2) first in task order, behind
+    # task (0, 1) in its batch; each names the first zero row of its task.
+    coords = generate_instance(16, 40, 3, "gaussian").coords.copy()
+    coords[[25, 33]] = 0.0
+    pts = PointSet(coords)
+    cosine = Metric("cosine_distance")
+    part = make_partition(40, 4)
+    with pytest.raises(MetricDomainError) as expected:
+        dense_mst(pts, cosine, subset=np.concatenate((part.blocks[0], part.blocks[2])))
+    with pytest.raises(MetricDomainError) as caught:
+        decomposed_mst(pts, cosine, part, "gather", workers)
+    assert str(caught.value) == str(expected.value)
+    assert "point id 25)" in str(caught.value)
+    assert no_child_processes()
+
+
 def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch):
     parent = os.getpid()
-    solve = decompose._solve_task
+    solve = decompose._solve_batch
 
     def patched(*args):
         if os.getpid() != parent:
             os._exit(3)
         return solve(*args)
 
-    monkeypatch.setattr(decompose, "_solve_task", patched)
+    monkeypatch.setattr(decompose, "_solve_batch", patched)
     pts, m, part = _three_tasks()
     with pytest.raises(RuntimeError, match="ended without reporting"):
         decomposed_mst(pts, m, part, "gather", 2)

@@ -395,3 +395,78 @@ def test_gram_and_gemv_give_the_same_tree_and_counter(name, d, monkeypatch):
             unbounded = kind == "one_beyond_norm_limit" and name != "cosine_distance"
             assert grams == ([n] if source == "gram" and not unbounded else []), (kind, source)
             assert (sum(rows) == n * (n - 1) // 2) == unbounded, (kind, source)
+
+
+LOCKSTEP = [
+    (name, d)
+    for names, dims in (
+        (("euclidean", "squared_euclidean", "cosine_distance"), (1, 2, 7, 8, 16, 31)),
+        (("manhattan", "chebyshev"), (2, 16, 64)),
+    )
+    for name in names
+    for d in dims
+]
+
+
+@pytest.mark.parametrize("tasks", (2, 3, 5))
+@pytest.mark.parametrize("name, d", LOCKSTEP)
+def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tasks, monkeypatch):
+    # Grid coordinates with repeated rows make weights tie both when a step
+    # selects a vertex and when it updates the frontier, and sparse ids in
+    # random order put a tie's (u, v) winner away from its first position.
+    assert dense_module.lockstep_width(Metric(name), d, 30) >= tasks
+    calls = {"_canonical_tie": 0, "_precedes": 0}
+    for fn in calls:
+        real = getattr(dense_module, fn)
+        monkeypatch.setattr(dense_module, fn, lambda *a, fn=fn, real=real: calls.update({fn: calls[fn] + 1}) or real(*a))
+    rng = np.random.default_rng(100 * d + tasks)
+    coords = rng.integers(1, 4, size=(48, d)).astype(np.float64)  # no zero row
+    coords[36:] = coords[:12]
+    pts = PointSet(coords, ids=rng.choice(25 * 48, size=48, replace=False))
+    m = Metric(name)
+    subsets = [rng.choice(48, size=30, replace=False) for _ in range(tasks)]
+    stats = [RunStats() for _ in subsets]
+    trees, error = dense_module.lockstep_mst(pts, m, subsets, stats)
+    assert error is None
+    assert min(calls.values()) > 0
+    for subset, tree, got in zip(subsets, trees, stats, strict=True):
+        alone = RunStats()
+        assert _bits(tree) == _bits(dense_mst(pts, m, alone, subset=subset))
+        assert got.distance_evals == alone.distance_evals == 30 * 29 // 2
+
+
+def test_lockstep_reports_the_first_failed_task_in_order_and_the_trees_before_it():
+    # Manhattan distances between 1-D points of opposite sign at least
+    # 0.9e308 from 0 overflow. Task 1 needs such an edge at step 5, task 2
+    # at step 1, and task 4's subset is out of range; task 1's error wins.
+    pos = 1e308 * np.array([1.0, 0.98, 0.96, 0.94, 0.92])
+    coords = np.concatenate((np.arange(12.0), pos, -pos))
+    pts = PointSet(coords[:, None])
+    m = Metric("manhattan")
+    subsets = [
+        np.arange(6),
+        np.r_[12:17, 17],
+        np.r_[12, 17:22],
+        np.arange(6, 12),
+        np.r_[0:5, 22],
+    ]
+    stats = [RunStats() for _ in subsets]
+    with pytest.raises(DataError) as expected:
+        dense_mst(pts, m, subset=subsets[1])
+    trees, error = dense_module.lockstep_mst(pts, m, subsets, stats)
+    assert type(error) is DataError and str(error) == str(expected.value)
+    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=subsets[0]))]
+    assert [s.distance_evals for s in stats] == [15, 0, 0, 0, 0]
+
+
+def test_lockstep_reports_a_zero_vector_in_task_order():
+    coords = generate_instance(17, 30, 3, "gaussian").coords.copy()
+    coords[[12, 20]] = 0.0
+    pts = PointSet(coords)
+    m = Metric("cosine_distance")
+    subsets = [np.arange(10), np.arange(20, 30), np.arange(10, 20)]
+    with pytest.raises(MetricDomainError) as expected:
+        dense_mst(pts, m, subset=subsets[1])
+    trees, error = dense_module.lockstep_mst(pts, m, subsets)
+    assert type(error) is MetricDomainError and str(error) == str(expected.value)
+    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=subsets[0]))]
