@@ -1,11 +1,13 @@
 """Pairwise-partition decomposition of the dense MST with counted communication.
 
 The vertex set is split into blocks; every unordered block pair becomes an
-independent dense-MST task over the union of the two blocks. The union of
-all task trees is a superset of the true MST, so one sparse MST over it
-(gather), or a balanced binary reduction whose combine is kruskal over two
-edge lists (reduce), finishes the job. Tasks carry global vertex ids end to
-end, so no reindexing pass exists anywhere.
+independent dense-MST task over the union of the two blocks. Each task
+returns the forest of its finite-distance pairs, and by the cycle property
+their union contains the whole set's, so one sparse MST over it (gather),
+or a balanced binary reduction whose combine is kruskal over two edge lists
+(reduce), recovers it. A merged forest that does not span is the oracle's
+DataError, decided once, after the merge. Tasks carry global vertex ids end
+to end, so no reindexing pass exists anywhere.
 
 Communication is counted, not transported: edges_gathered measures what a
 distributed deployment would move. With more than one worker the tasks run
@@ -15,18 +17,18 @@ calling process solves one share of the tasks itself and forks one child
 per other share. A share hands out its tasks in batches of one size: a
 batch of two or more runs in lockstep (dense.lockstep_mst), one step for
 all of them, and a single task, or one whose steps dense_mst bounds, runs
-alone. The children inherit the points and the task list, and
-each returns its task trees as pickled EdgeList arrays plus evaluation
-counts over a pipe. The trees are merged in task order whatever order the
-shares finish in. With one worker, as with one block or where os.fork does
-not exist, the same runner forks nothing and solves the single share in
-this process. It needs neither multiprocessing nor a `__main__` guard.
+alone. The children inherit the points and the task list, and each
+returns its task trees as pickled EdgeList arrays plus evaluation counts,
+or the exception its share raised, over a pipe. The trees are merged in
+task order whatever order the shares finish in. With one worker, as with
+one block or where os.fork does not exist, the same runner forks nothing
+and solves the single share in this process. It needs neither
+multiprocessing nor a `__main__` guard.
 """
 
 from __future__ import annotations
 
 import contextlib
-import mmap
 import os
 import pickle
 import signal
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_mst, lockstep_mst, lockstep_width
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, _int64_array
-from .graph import EdgeList, kruskal
+from .graph import EdgeList, kruskal, merges
 from .rng import SplitMix64
 from .stats import RunStats
 
@@ -112,15 +114,15 @@ def decomposed_mst(
     merge: str = "gather",
     workers: int | None = None,
 ) -> tuple[EdgeList, RunStats]:
-    """MSF of the complete graph on points, computed block-pair by block-pair.
+    """MST of the complete graph on points, computed block-pair by block-pair.
 
-    Returns the same edge set as the undecomposed computation for every valid
-    partition, merge strategy and worker count; the RunStats tell the merge
-    strategies apart. There is one task per block pair, or one whole-set task
-    for a single block. workers defaults to usable_cores() and is capped at
-    the task count, and at 1 where os.fork does not exist; this process
-    solves every w-th task and w - 1 forked children the rest, all reaped
-    before return.
+    Returns the edge set oracle_mst returns, or raises the DataError it
+    raises, for every valid partition, merge strategy and worker count; the
+    RunStats tell the merge strategies apart. There is one task per block
+    pair, or one whole-set task for a single block. workers defaults to
+    usable_cores() and is capped at the task count, and at 1 where os.fork
+    does not exist; this process solves every w-th task and w - 1 forked
+    children the rest, all reaped before return.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -143,6 +145,8 @@ def decomposed_mst(
     else:
         tasks = [np.concatenate((blocks[i], blocks[j])) for i in range(k) for j in range(i + 1, k)]
     workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    if points.count > 1:
+        metric.check_domain(points)  # as the oracle checks it, so no task can fail on data
     metric.prepared(points)  # warm shared caches once, before workers inherit them
     results = _solve_forked(points, metric, tasks, workers)
 
@@ -169,35 +173,24 @@ def decomposed_mst(
                 combined.append(level[-1])
             level = combined
         tree = level[0]
+    _check_spans(points, metric, tree)
 
     stats.wall_time = time.perf_counter() - started
     return tree, stats
 
 
-def _solve_task(points: PointSet, metric: Metric, subset) -> tuple[EdgeList, int]:
-    """One task: the dense MST of points[subset] and its evaluations."""
-    local = RunStats()
-    tree = dense_mst(points, metric, local, subset=subset)
-    return tree, local.distance_evals
+def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[tuple[EdgeList, int]]:
+    """(tree, evals) of each task in order.
 
-
-def _solve_batch(points: PointSet, metric: Metric, subsets) -> tuple[list, Exception | None]:
-    """(tree, evals) of each task in order, up to the first that fails; and its error.
-
-    One task is solved alone; more run in lockstep, so they need one size and
-    a lockstep_width of at least their number.
+    One task is solved alone by dense_mst; more run in lockstep, so they
+    need one size and a lockstep_width of at least their number.
     """
-    if len(subsets) == 1:
-        try:
-            return [_solve_task(points, metric, subsets[0])], None
-        except Exception as exc:
-            return [], exc
     local = [RunStats() for _ in subsets]
-    try:
-        trees, exc = lockstep_mst(points, metric, subsets, local)
-    except Exception as exc:  # not one task's own error, so it stops the batch at its first task
-        return [], exc
-    return [(tree, st.distance_evals) for tree, st in zip(trees, local)], exc
+    if len(subsets) == 1:
+        trees = [dense_mst(points, metric, local[0], subset=subsets[0])]
+    else:
+        trees = lockstep_mst(points, metric, subsets, local)
+    return [(tree, st.distance_evals) for tree, st in zip(trees, local)]
 
 
 def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
@@ -206,76 +199,55 @@ def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
     Share s is tasks s, s + workers, ...: this process solves share 0 and a
     forked child each other share, which it pickles over a pipe in one
     piece when done, so no child waits on the pipe while this process
-    computes. The first error in task order is raised: every task before it
-    still runs, and a share stops at a task only once a task before it has
-    failed. Children whose share starts after that failure are killed
-    unread; every child is reaped before return, also when this process is
-    interrupted.
+    computes. A child whose share raises pickles the exception instead, and
+    this process raises it. Every child is reaped before return, also when
+    this process fails or is interrupted.
     """
-    outcomes = {}
-    children = []
-    with mmap.mmap(-1, len(tasks)) as failed:  # shared: failed[i] is 1 once task i raised
-        try:
-            for s in range(1, workers):
-                child = _fork_share(points, metric, tasks, s, workers, failed, children)
-                children.append(child)
-            outcomes[0] = _solve_share(points, metric, tasks, 0, workers, failed)
-            for s, (pid, reader) in enumerate(children, start=1):
-                if 0 <= failed.find(b"\x01") < s:
-                    continue  # every task of this share comes after a failed one
-                try:
-                    outcomes[s] = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"worker process {pid} ended without reporting") from None
-        finally:
-            for pid, reader in children:
-                reader.close()
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                # ChildProcessError: reaped already, as when SIGCHLD is ignored
-                with contextlib.suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-        first = failed.find(b"\x01")
-    if first >= 0:
-        raise outcomes[first % workers][1]
     results: list = [None] * len(tasks)
-    for s, (done, _) in outcomes.items():
-        results[s::workers] = done
+    children = []
+    try:
+        for s in range(1, workers):
+            children.append(_fork_share(points, metric, tasks, s, workers, children))
+        results[0::workers] = _solve_share(points, metric, tasks, 0, workers)
+        for s, (pid, reader) in enumerate(children, start=1):
+            try:
+                done = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pid} ended without reporting") from None
+            if isinstance(done, Exception):
+                raise done
+            results[s::workers] = done
+    finally:
+        for pid, reader in children:
+            reader.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            # ChildProcessError: reaped already, as when SIGCHLD is ignored
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
     return results
 
 
-def _solve_share(points, metric, tasks, s: int, workers: int, failed) -> tuple:
-    """Results of tasks s, s + workers, ... in order, up to the first failure; and its error.
+def _solve_share(points, metric, tasks, s: int, workers: int) -> list[tuple[EdgeList, int]]:
+    """Results of tasks s, s + workers, ... in order.
 
     The share hands out its tasks in batches of one size, up to
     lockstep_width tasks each, the sizes in the order of their first task.
-    A task is skipped once a task before it has failed.
     """
     mine = range(s, len(tasks), workers)
     groups: dict = {}
     for i in mine:
         groups.setdefault(points.count if tasks[i] is None else len(tasks[i]), []).append(i)
-    batches = []
+    results = {}
     for size, group in groups.items():
         width = lockstep_width(metric, points.dim, size)
-        batches += [group[j : j + width] for j in range(0, len(group), width)]
-    results, errors = {}, {}
-    for batch in batches:
-        batch = [i for i in batch if failed.find(b"\x01", 0, i) < 0]
-        done, exc = _solve_batch(points, metric, [tasks[i] for i in batch])
-        results.update(zip(batch, done))
-        if exc is not None:
-            failed[batch[len(done)]] = 1
-            errors[batch[len(done)]] = exc
-    done = []
-    for i in mine:
-        if i not in results:
-            return done, errors.get(i)
-        done.append(results[i])
-    return done, None
+        for j in range(0, len(group), width):
+            batch = group[j : j + width]
+            results.update(zip(batch, _solve_batch(points, metric, [tasks[i] for i in batch])))
+    return [results[i] for i in mine]
 
 
-def _fork_share(points, metric, tasks, s: int, workers: int, failed, siblings):
+def _fork_share(points, metric, tasks, s: int, workers: int, siblings):
     """Fork the child that solves share s; returns its pid and the pipe it writes to."""
     r, w = os.pipe()
     pid = os.fork()
@@ -287,11 +259,35 @@ def _fork_share(points, metric, tasks, s: int, workers: int, failed, siblings):
         os.close(r)
         for _, reader in siblings:
             reader.close()
-        outcome = _solve_share(points, metric, tasks, s, workers, failed)
+        try:
+            outcome = _solve_share(points, metric, tasks, s, workers)
+        except Exception as exc:
+            outcome = exc
         with os.fdopen(w, "wb") as out:
             pickle.dump(outcome, out)
     finally:
         os._exit(0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_spans(points: PointSet, metric: Metric, forest: EdgeList) -> None:
+    """Raise oracle_mst's DataError unless the finite-distance forest spans the points.
+
+    Every pair that joins two of its components overflows, and the first in
+    (u, v) order joins the smallest id a to the smallest id outside a's
+    component: the first merge of the star from a after the forest's own pairs.
+    """
+    if len(forest) >= points.count - 1:
+        return
+    ids = points.ids
+    order = np.argsort(ids)
+    a, rest = order[0], order[1:]
+    star = np.full(rest.size, ids[a])
+    first = merges(np.concatenate((forest.u, star)), np.concatenate((forest.v, ids[rest])))[len(forest)][0]
+    b = rest[first - len(forest)]
+    prepared = metric.prepared(points)
+    w = float(metric.block(prepared[a], prepared[b : b + 1])[0])
+    raise DataError(f"distance between points {ids[a]} and {ids[b]} is {w!r} (overflow)")
 
 
 def redundancy_factor(stats: RunStats, n: int) -> float:

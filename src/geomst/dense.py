@@ -14,9 +14,7 @@ without ties makes seven array calls besides the distance block:
 - select (2): argmin over the frontier, then min-after-mask tie detection:
   that slot is set to inf, and the weight at the argmin of the rest is
   compared with the old value; only a tied minimum pays for the (u, v)
-  tie-break, and the slot is restored either way; a non-finite minimum
-  (a distance that overflowed) stops the run at that step, before any
-  counter moves;
+  tie-break, and the slot is restored either way;
 - move (scalar stores and one row copy): the chosen vertex's row leaves
   position q and the vertex at the frontier head moves into the hole;
   in-tree slots are never read again, so nothing is written back;
@@ -36,8 +34,9 @@ left to right. From d = 8 numpy's pairwise sum splits a contiguous row into
 8 partial sums, which a column-major block would not reproduce, and the
 column-major layout is not faster there, so the copy stays row-major.
 
-An overflowed distance raises DataError only once the tree needs it; one
-np.errstate around the whole call keeps numpy's overflow warning quiet.
+An overflowed distance is inf, which every finite weight precedes, so Prim
+runs on and the EdgeList leaves the inf edges out: the minimum spanning
+forest of the finite-distance pairs. np.errstate keeps numpy quiet.
 
 Lockstep. lockstep_mst advances T tasks of one size together, so one numpy
 call of a step serves all of them. Task i's slot j holds its coordinates,
@@ -46,10 +45,9 @@ floats) of its vertex and of that weight's source, in one (T, m, d + 3)
 float array, slot-minor below d = 8 as above. A step without ties makes:
 
 - select: argmin over the (T, r) frontier, one flat take and one flat put
-  that swap each task's chosen slot with its slot t, one max over the T
-  minima (a non-finite one fails its task alone: the tasks before it are
-  solved again without it), and one count of frontier == minimum against
-  T; only a tie runs the (u, v) rule, task by task;
+  that swap each task's chosen slot with its slot t, and one count of
+  frontier == minimum against T; only a tie runs the (u, v) rule, task by
+  task;
 - evaluate: Metric.block over (T, r, d), which reduces each (task, row)
   as an (r, d) block reduces that row: left to right below d = 8, where d
   is not the contiguous axis, and numpy's pairwise sum of a contiguous row
@@ -137,11 +135,8 @@ can overflow.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DataError, GeomstError
 from .geometry import Metric, PointSet, subset_indices
 from .graph import EdgeList
 from .stats import RunStats
@@ -177,7 +172,7 @@ def dense_mst(
     stats: RunStats | None = None,
     subset=None,
 ) -> EdgeList:
-    """MST edges, carrying global ids, of the complete graph on points[subset].
+    """MSF edges, carrying global ids, of the finite-distance pairs of points[subset].
 
     subset is a sequence of row indices (the whole set when omitted); the
     kernel copies those rows into a private working array, so callers can
@@ -219,9 +214,6 @@ def dense_mst(
         frontier = best_w[t:]
         q = int(frontier.argmin())
         w = frontier[q]
-        if not math.isfinite(w):
-            a, b = best_from[t + q], gid[t + q]
-            raise DataError(f"distance between points {a} and {b} is {float(w)!r} (overflow)")
         frontier[q] = np.inf
         tied = frontier[frontier.argmin()] == w
         frontier[q] = w
@@ -278,7 +270,8 @@ def dense_mst(
 
     if stats is not None:
         stats.distance_evals += m * (m - 1) // 2
-    return EdgeList(out_from, out_to, out_w)
+    finite = np.isfinite(out_w)
+    return EdgeList(out_from[finite], out_to[finite], out_w[finite])
 
 
 def lockstep_width(metric: Metric, dim: int, m: int) -> int:
@@ -298,29 +291,16 @@ def _has_step_bound(kind: str, d: int) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> tuple[list, Exception | None]:
+def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> list[EdgeList]:
     """dense_mst of every subset, with each numpy call of a step serving all of them.
 
     subsets is a list of index sequences of one size, and the metric has no
     step bound at the points' dimension (lockstep_width above 1). Returns
-    the trees of the subsets before the first whose task fails, in order,
-    and that task's error, or None when every task finishes; stats, when
-    given, holds one RunStats per subset, and a finished task adds its
-    m*(m-1)/2 evaluations there.
+    the forests in order; stats, when given, holds one RunStats per subset,
+    and each task adds its m*(m-1)/2 evaluations there.
     """
-    idx, error = [], None
-    for subset in subsets:
-        try:
-            rows = subset_indices(points, subset)
-            if rows.size > 1:
-                metric.check_domain(points, rows)
-        except GeomstError as exc:
-            error = exc
-            break
-        idx.append(rows)
-    if not idx:
-        return [], error
-    rows = np.stack(idx)
+    rows = np.stack([subset_indices(points, subset) for subset in subsets])
+    metric.check_domain(points, rows.reshape(-1))
     T, m = rows.shape
     d = points.dim
     gids = points.ids[rows]
@@ -359,13 +339,6 @@ def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> tuple
         head = flat[t * stride :]
         row = head.take(at)
         w = row[0, :, d : d + 1]
-        if not w.max() < np.inf:
-            p = int(np.flatnonzero(~(w < np.inf))[0])
-            b, a = ids(row[0, :, d + 1 :])[p].tolist()
-            error = DataError(f"distance between points {a} and {b} is {float(w[p, 0])!r} (overflow)")
-            # Solve the tasks before the failed one again, without it.
-            done, earlier = lockstep_mst(points, metric, subsets[:p], stats)
-            return done, earlier or error
         if np.count_nonzero(frontier == w) > T:
             frm, gx = ids(best_from[:, t:]), ids(local[:, t:])
             for i in np.flatnonzero(np.count_nonzero(frontier == w, axis=1) > 1):
@@ -388,10 +361,10 @@ def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> tuple
 
     # Slot t now holds the vertex step t chose, with its weight and source.
     ends = slots[:, 1:, d + 1 :].astype(np.int64)
-    trees = [EdgeList(*gids[i][ends[i].T], best_w[i, 1:]) for i in range(T)]
-    for st in stats[:T] if stats is not None else ():
+    finite = np.isfinite(best_w[:, 1:])
+    for st in stats or ():
         st.distance_evals += m * (m - 1) // 2
-    return trees, error
+    return [EdgeList(*gids[i][ends[i][finite[i]].T], best_w[i, 1:][finite[i]]) for i in range(T)]
 
 
 def _precedes(g, frm: np.ndarray, gx: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ edges, which makes the minimum spanning forest unique. EdgeList holds every
 edge list from the dense kernel to the TSV writer as u, v and w arrays in
 that order; it alone checks and orders edges, and Edge is its NamedTuple view.
 merges() is the package's one union-find scan: kruskal keeps the pairs it
-reports, the oracle finds the first overflowing pair the tree needs with it,
-and mst_to_dendrogram reads its roots as cluster ids.
+reports, the oracle and decomposed_mst find the first overflowing pair the
+tree needs with it, and mst_to_dendrogram reads its roots as cluster ids.
 """
 
 from __future__ import annotations

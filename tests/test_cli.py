@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,7 +13,16 @@ from reference import no_child_processes
 
 import geomst
 import geomst.cli as cli
-from geomst import EdgeList, PointSet, generate_instance, write_points
+from geomst import (
+    MERGE_STRATEGIES,
+    EdgeList,
+    Metric,
+    PointSet,
+    format_edges,
+    generate_instance,
+    oracle_mst,
+    write_points,
+)
 
 COLLINEAR_CSV = "0.0\n1.0\n3.0\n"
 COLLINEAR_EDGES = "0\t1\t1.0\n1\t2\t2.0\n"
@@ -536,16 +546,23 @@ def test_overflowing_distance_is_a_data_error(tmp_path):
 
 def test_verify_passes_where_only_a_pair_outside_the_tree_overflows(tmp_path):
     # 0 and 2e154 overflow when squared, but the tree joins both through 1e154;
-    # the default 20 subset trials include the subset {0, 2}.
+    # the default 20 subset trials include the subset {0, 2}. With three
+    # blocks the task of blocks 0 and 2 has only that pair: its forest is
+    # empty, and the merge still finds the tree.
+    pts = PointSet([[0.0], [1e154], [2e154]])
     path = tmp_path / "wide.csv"
-    write_points(PointSet([[0.0], [1e154], [2e154]]), str(path))
-    done = _python_m(["geomst", "mst", "--input", str(path), "--workers", "1"], tmp_path)
-    assert done.returncode == 0, done.stderr
-    done = _python_m(["geomst", "verify", "--input", str(path), "--workers", "1"], tmp_path)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 21 and all(line.startswith("PASS ") for line in lines)
-    assert done.stderr == ""
+    write_points(pts, str(path))
+    expected = format_edges(oracle_mst(pts, Metric("euclidean")))
+    for k, merge, workers in itertools.product("123", MERGE_STRATEGIES, "12"):
+        args = ["--partitions", k, "--merge", merge, "--workers", workers]
+        done = _python_m(["geomst", "mst", "--input", str(path), *args], tmp_path)
+        assert (done.returncode, done.stdout) == (0, expected), (k, merge, workers, done.stderr)
+    for k in ([], ["--partitions", "3"]):
+        done = _python_m(["geomst", "verify", "--input", str(path), "--workers", "1", *k], tmp_path)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 21 and all(line.startswith("PASS ") for line in lines)
+        assert done.stderr == ""
 
 
 def _python_m(args, cwd):

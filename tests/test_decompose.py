@@ -1,7 +1,6 @@
 """Pairwise-partition decomposition: equivalence, counters, merge strategies."""
 
 import json
-import mmap
 import os
 import subprocess
 import sys
@@ -11,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from reference import keys, no_child_processes
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomst
@@ -36,6 +35,7 @@ from geomst import (
     oracle_mst,
     redundancy_factor,
 )
+from geomst.oracle import _finite_forest
 
 
 def test_contiguous_split_7_into_3():
@@ -252,9 +252,7 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
         return solve(points, metric, subsets)
 
     monkeypatch.setattr(decompose, "_solve_batch", recording)
-    with mmap.mmap(-1, len(tasks)) as failed:
-        done, exc = decompose._solve_share(pts, m, tasks, 0, 1, failed)
-    assert exc is None
+    done = decompose._solve_share(pts, m, tasks, 0, 1)
     assert sizes == batches
     for task, (tree, evals) in zip(tasks, done, strict=True):
         alone = RunStats()
@@ -273,11 +271,7 @@ def test_worker_errors_come_through_unchanged():
 
 
 def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.0, exc=ValueError):
-    """Patch the batch solver so the named block pairs' tasks fail, in this process or a child.
-
-    A failing task ends its batch: the tasks before it in the batch are
-    solved, and the error is its result; an interrupt is raised instead.
-    """
+    """Patch the batch solver: the named block pairs' tasks raise exc, here or in a child."""
     parent = os.getpid()
     solve = decompose._solve_batch
     blocks = _three_tasks()[2].blocks
@@ -287,12 +281,10 @@ def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.
         if os.getpid() != parent:
             time.sleep(child_sleeps)
             fails = child_fails
-        for j, subset in enumerate(subsets):
+        for subset in subsets:
             pair = tuple(i for i, b in enumerate(blocks) if np.isin(b, subset).all())
             if pair in fails:
-                if not issubclass(exc, Exception):
-                    raise exc(f"task {pair}")
-                return solve(points, metric, subsets[:j])[0], exc(f"task {pair}")
+                raise exc(f"task {pair}")
         return solve(points, metric, subsets)
 
     monkeypatch.setattr(decompose, "_solve_batch", patched)
@@ -323,50 +315,60 @@ def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypat
     assert no_child_processes()
 
 
-def test_the_first_error_in_task_order_wins_over_the_parents_later_one(monkeypatch):
-    # Two workers: the parent solves tasks 0 and 2 in one batch, the child
-    # task 1, which is slow enough that the parent's error comes first in time.
-    _failing_tasks(monkeypatch, parent_fails=[(1, 2)], child_fails=[(0, 2)], child_sleeps=1.0)
+def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monkeypatch):
+    # Two workers: the child solves task 1, whose batch raises; the parent's
+    # own share finishes, then raises what the child pickled.
+    _failing_tasks(monkeypatch, child_fails=[(0, 2)])
     pts, m, part = _three_tasks()
-    with pytest.raises(ValueError, match=r"task \(0, 2\)"):
+    with pytest.raises(ValueError) as caught:
         decomposed_mst(pts, m, part, "gather", 2)
+    assert type(caught.value) is ValueError and str(caught.value) == "task (0, 2)"
     assert no_child_processes()
 
 
+def _outcome(fn, *args):
+    """format_edges of what fn returns, or the type and text of the DataError it raises."""
+    try:
+        result = fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return format_edges(result[0] if isinstance(result, tuple) else result)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_first_overflow_in_task_order_wins_inside_a_lockstep_batch(workers):
+def test_overflows_inside_a_lockstep_batch_give_the_oracles_outcome(workers):
     # Manhattan distances between 1-D points of opposite sign at least
-    # 0.9e308 from 0 overflow. Blocks 2 to 4 hold such points, so tasks
-    # (2, 3), (2, 4) and (3, 4) all need an overflowing edge: at steps 6, 4
-    # and 2, the reverse of task order.
-    # Every task has 8 points, so each share solves its tasks in one batch,
-    # and the tasks before (2, 3) finish first.
+    # 0.9e308 from 0 overflow. Blocks 2 to 4 hold such points, so the trees
+    # of tasks (2, 3), (2, 4) and (3, 4) would need an overflowing edge: at
+    # steps 6, 4 and 2, the reverse of task order. Every task has 8 points,
+    # so each share solves its tasks in one batch. The points near 0 join
+    # both signs by finite edges, so the oracle has a tree, and so must the
+    # merged task forests.
     big = 1e308 * np.array([1.0, 0.98, 0.96, 0.94, 0.92, 0.9, -0.92, -0.9])
     neg = -1e308 * np.array([1.0, 0.98, 0.96, 0.94])
     coords = np.concatenate((np.arange(4.0), np.arange(10.0, 14.0), big[:4], big[4:], neg))
     pts = PointSet(coords[:, None])
     m = Metric("manhattan")
     part = make_partition(20, 5)
-    with pytest.raises(DataError) as expected:
-        dense_mst(pts, m, subset=np.concatenate(part.blocks[2:4]))
-    with pytest.raises(DataError) as caught:
-        decomposed_mst(pts, m, part, "gather", workers)
-    assert str(caught.value) == str(expected.value)
+    expected = _outcome(oracle_mst, pts, m)
+    assert expected.count("\n") == 19
+    assert _outcome(decomposed_mst, pts, m, part, "gather", workers) == expected
     assert no_child_processes()
 
 
+@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_a_zero_vector_behind_a_finished_task_is_reported_in_task_order(workers):
-    # Zero rows in blocks 2 and 3: tasks (0, 2), (0, 3), (1, 2), (1, 3) and
-    # (2, 3) fail their domain check, (0, 2) first in task order, behind
-    # task (0, 1) in its batch; each names the first zero row of its task.
+def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy):
+    # Zero rows 25 and 33 sit in different blocks. Every partition names the
+    # first zero row in index order, as the oracle does; the shuffled one
+    # meets row 33 first in task order.
     coords = generate_instance(16, 40, 3, "gaussian").coords.copy()
     coords[[25, 33]] = 0.0
     pts = PointSet(coords)
     cosine = Metric("cosine_distance")
-    part = make_partition(40, 4)
+    part = make_partition(40, 4, strategy, 3)
     with pytest.raises(MetricDomainError) as expected:
-        dense_mst(pts, cosine, subset=np.concatenate((part.blocks[0], part.blocks[2])))
+        oracle_mst(pts, cosine)
     with pytest.raises(MetricDomainError) as caught:
         decomposed_mst(pts, cosine, part, "gather", workers)
     assert str(caught.value) == str(expected.value)
@@ -574,6 +576,52 @@ def test_always_equals_oracle(seed, n, d, k, shuffled, merge, workers):
     assert keys(tree) == keys(oracle_mst(pts, m))
     assert len(tree) == n - 1
     assert stats.distance_evals >= n * (n - 1) // 2 or min(k, n) == 1
+
+
+# Coordinates are these multiples of the metric's scale. In 1-D a pair up to
+# 1 apart is finite under (squared) euclidean and up to 2.5 apart under
+# manhattan and chebyshev; pairs further apart overflow.
+OVERFLOW_SCALE = {
+    "euclidean": 1e154,
+    "squared_euclidean": 1e154,
+    "manhattan": 0.6e308,
+    "chebyshev": 0.6e308,
+}
+MULTIPLES = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@st.composite
+def overflow_instances(draw):
+    name = draw(st.sampled_from(sorted(OVERFLOW_SCALE)))
+    n, d = draw(st.integers(min_value=2, max_value=6)), draw(st.integers(min_value=1, max_value=2))
+    row = st.lists(st.sampled_from(MULTIPLES), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    return name, rows, ids
+
+
+# Two ways the task trees once failed: k = 3 raised where the oracle has a
+# tree, and the whole-set task named the pair as "22 and 16".
+@example(case=("euclidean", [[0.0], [1.0], [2.0]], [0, 1, 2]))
+@example(case=("euclidean", [[0.0], [2.0]], [22, 16]))
+@settings(max_examples=25)
+@given(case=overflow_instances())
+def test_overflowing_pairs_give_the_oracles_bytes_or_its_error(case):
+    name, rows, ids = case
+    m = Metric(name)
+    pts = PointSet(np.array(rows) * OVERFLOW_SCALE[name], ids=ids)
+    expected = _outcome(oracle_mst, pts, m)
+    n = len(rows)
+    for k in range(1, n + 1):
+        for strategy in PARTITION_STRATEGIES:
+            part = make_partition(n, k, strategy, k)
+            tasks = [np.concatenate(p) for p in combinations(part.blocks, 2)] if k > 1 else [None]
+            for task in tasks:
+                assert dense_mst(pts, m, subset=task) == _finite_forest(pts, m, task, n)[0]
+            for merge in MERGE_STRATEGIES:
+                for workers in (1, 2):
+                    got = _outcome(decomposed_mst, pts, m, part, merge, workers)
+                    assert got == expected, (k, strategy, merge, workers)
 
 
 @pytest.mark.parametrize("ids", [[0, 1, 2, 10**7], [2**40, 2**40 + 1, 2**40 + 2, 2**40 + 9]])

@@ -17,12 +17,15 @@ from geomst import (
     PointSet,
     RunStats,
     UsageError,
+    decomposed_mst,
     dense_mst,
     edge_key,
     generate_instance,
+    make_partition,
     merges,
     oracle_mst,
 )
+from geomst.oracle import _finite_forest
 
 
 def test_collinear_chain():
@@ -174,9 +177,11 @@ def test_cosine_zero_vector_raises_before_any_work():
     assert len(tree) == 1
 
 
-def test_overflowing_distance_stops_at_the_first_such_edge():
-    # Point 0 lies 1e200 from the rest, so its squared distances overflow:
-    # the first tree edge is already inf and no further block is computed.
+def test_overflowing_distances_are_left_out_of_the_forest():
+    # Point 0 lies 1e200 from the rest, so its squared distances overflow.
+    # The kernel no longer stops at the first inf edge the tree needs: Prim
+    # runs on, evaluates every pair once, and returns the 48-edge forest of
+    # the finite pairs; decomposed_mst then names the pair the oracle names.
     calls = []
 
     class CountingMetric(Metric):
@@ -189,11 +194,14 @@ def test_overflowing_distance_stops_at_the_first_such_edge():
     coords = np.zeros((50, 2))
     coords[0, 0] = 1e200
     coords[1:, 1] = np.arange(49.0)
+    pts = PointSet(coords)
     stats = RunStats()
+    forest = dense_mst(pts, CountingMetric("euclidean"), stats)
+    assert len(forest) == 48
+    assert keys(forest) == [(1.0, i, i + 1) for i in range(1, 49)]
+    assert sum(calls) == stats.distance_evals == 50 * 49 // 2
     with pytest.raises(DataError, match="between points 0 and 1 is inf"):
-        dense_mst(PointSet(coords), CountingMetric("euclidean"), stats)
-    assert calls == [49]
-    assert stats.distance_evals == 0
+        decomposed_mst(pts, Metric("euclidean"), make_partition(50, 1), workers=1)
 
 
 @given(
@@ -323,8 +331,10 @@ def test_bounded_overflow_the_tree_needs_names_the_oracles_pair(name, d):
     pts = PointSet(coords)
     with pytest.raises(DataError) as oracle_error:
         oracle_mst(pts, Metric(name))
+    forest = _finite_forest(pts, Metric(name), None, 20)[0]
+    assert _bits(dense_mst(pts, Metric(name))) == _bits(forest)
     with pytest.raises(DataError) as dense_error:
-        dense_mst(pts, Metric(name))
+        decomposed_mst(pts, Metric(name), make_partition(20, 1), workers=1)
     assert str(dense_error.value) == str(oracle_error.value)
     assert "overflow" in str(dense_error.value)
 
@@ -426,8 +436,7 @@ def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tas
     m = Metric(name)
     subsets = [rng.choice(48, size=30, replace=False) for _ in range(tasks)]
     stats = [RunStats() for _ in subsets]
-    trees, error = dense_module.lockstep_mst(pts, m, subsets, stats)
-    assert error is None
+    trees = dense_module.lockstep_mst(pts, m, subsets, stats)
     assert min(calls.values()) > 0
     for subset, tree, got in zip(subsets, trees, stats, strict=True):
         alone = RunStats()
@@ -435,10 +444,11 @@ def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tas
         assert got.distance_evals == alone.distance_evals == 30 * 29 // 2
 
 
-def test_lockstep_reports_the_first_failed_task_in_order_and_the_trees_before_it():
+def test_lockstep_gives_each_task_its_finite_forest_and_full_counter():
     # Manhattan distances between 1-D points of opposite sign at least
-    # 0.9e308 from 0 overflow. Task 1 needs such an edge at step 5, task 2
-    # at step 1, and task 4's subset is out of range; task 1's error wins.
+    # 0.9e308 from 0 overflow. Task 1's tree needs such an edge at step 5,
+    # task 2's at step 1, and both lose it: each task gets dense_mst's
+    # finite forest and counts all its pairs. A subset out of range raises.
     pos = 1e308 * np.array([1.0, 0.98, 0.96, 0.94, 0.92])
     coords = np.concatenate((np.arange(12.0), pos, -pos))
     pts = PointSet(coords[:, None])
@@ -448,15 +458,16 @@ def test_lockstep_reports_the_first_failed_task_in_order_and_the_trees_before_it
         np.r_[12:17, 17],
         np.r_[12, 17:22],
         np.arange(6, 12),
-        np.r_[0:5, 22],
     ]
     stats = [RunStats() for _ in subsets]
-    with pytest.raises(DataError) as expected:
-        dense_mst(pts, m, subset=subsets[1])
-    trees, error = dense_module.lockstep_mst(pts, m, subsets, stats)
-    assert type(error) is DataError and str(error) == str(expected.value)
-    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=subsets[0]))]
-    assert [s.distance_evals for s in stats] == [15, 0, 0, 0, 0]
+    trees = dense_module.lockstep_mst(pts, m, subsets, stats)
+    assert type(trees) is list
+    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=s)) for s in subsets]
+    assert [_bits(t) for t in trees] == [_bits(_finite_forest(pts, m, s, 22)[0]) for s in subsets]
+    assert [len(t) for t in trees] == [5, 4, 4, 5]
+    assert [s.distance_evals for s in stats] == [15] * 4
+    with pytest.raises(UsageError):
+        dense_module.lockstep_mst(pts, m, subsets + [np.r_[0:5, 22]])
 
 
 def test_lockstep_reports_a_zero_vector_in_task_order():
@@ -467,6 +478,6 @@ def test_lockstep_reports_a_zero_vector_in_task_order():
     subsets = [np.arange(10), np.arange(20, 30), np.arange(10, 20)]
     with pytest.raises(MetricDomainError) as expected:
         dense_mst(pts, m, subset=subsets[1])
-    trees, error = dense_module.lockstep_mst(pts, m, subsets)
-    assert type(error) is MetricDomainError and str(error) == str(expected.value)
-    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=subsets[0]))]
+    with pytest.raises(MetricDomainError) as caught:
+        dense_module.lockstep_mst(pts, m, subsets)
+    assert type(caught.value) is MetricDomainError and str(caught.value) == str(expected.value)
