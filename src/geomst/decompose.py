@@ -1,7 +1,8 @@
 """Pairwise-partition decomposition of the dense MST with counted communication.
 
 The vertex set is split into blocks; every unordered block pair becomes an
-independent dense-MST task over the union of the two blocks. Each task
+independent dense-MST task over the union of the two blocks, and a single
+block is itself the one task, so every task is an index array. Each task
 returns the forest of its finite-distance pairs, and by the cycle property
 their union contains the whole set's, so one sparse MST over it (gather),
 or a balanced binary reduction whose combine is kruskal over two edge lists
@@ -18,8 +19,9 @@ per other share. A share hands out its tasks in batches of one size: a
 batch of two or more runs in lockstep (dense.lockstep_mst), one step for
 all of them, and a single task, or one whose steps dense_mst bounds, runs
 alone. The children inherit the points and the task list, and each
-returns its task trees as pickled EdgeList arrays plus evaluation counts,
-or the exception its share raised, over a pipe. The trees are merged in
+returns its task trees as pickled EdgeLists plus evaluation counts, or
+the exception its share raised with the child's traceback, over a pipe;
+an EdgeList unpickles through its constructor. The trees are merged in
 task order whatever order the shares finish in. With one worker, as with
 one block or where os.fork does not exist, the same runner forks nothing
 and solves the single share in this process. It needs neither
@@ -67,6 +69,10 @@ class Partition:
         for b in blocks:
             b.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
+
+    def __reduce__(self):
+        # Unpickling runs the constructor, so a copy is checked and read-only.
+        return Partition, (self.blocks,)
 
     @property
     def count(self) -> int:
@@ -119,7 +125,7 @@ def decomposed_mst(
     Returns the edge set oracle_mst returns, or raises the DataError it
     raises, for every valid partition, merge strategy and worker count; the
     RunStats tell the merge strategies apart. There is one task per block
-    pair, or one whole-set task for a single block. workers defaults to
+    pair, or a single block as the one task. workers defaults to
     usable_cores() and is capped at the task count, and at 1 where os.fork
     does not exist; this process solves every w-th task and w - 1 forked
     children the rest, all reaped before return.
@@ -140,10 +146,8 @@ def decomposed_mst(
 
     blocks = part.blocks
     k = len(blocks)
-    if k == 1:
-        tasks = [None]  # the whole set, exactly as dense_mst is called without a subset
-    else:
-        tasks = [np.concatenate((blocks[i], blocks[j])) for i in range(k) for j in range(i + 1, k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    tasks = [np.concatenate((blocks[i], blocks[j])) for i, j in pairs] or [blocks[0]]
     workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
     if points.count > 1:
         metric.check_domain(points)  # as the oracle checks it, so no task can fail on data
@@ -199,9 +203,10 @@ def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
     Share s is tasks s, s + workers, ...: this process solves share 0 and a
     forked child each other share, which it pickles over a pipe in one
     piece when done, so no child waits on the pipe while this process
-    computes. A child whose share raises pickles the exception instead, and
-    this process raises it. Every child is reaped before return, also when
-    this process fails or is interrupted.
+    computes. A child whose share raises pickles the exception and its
+    formatted traceback instead, and this process raises that exception
+    from a RuntimeError that holds the child's traceback. Every child is
+    reaped before return, also when this process fails or is interrupted.
     """
     results: list = [None] * len(tasks)
     children = []
@@ -214,8 +219,8 @@ def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
                 done = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"worker process {pid} ended without reporting") from None
-            if isinstance(done, Exception):
-                raise done
+            if isinstance(done, tuple):  # the child's exception and its traceback
+                raise done[0] from RuntimeError(f"in worker process {pid}:\n{done[1]}")
             results[s::workers] = done
     finally:
         for pid, reader in children:
@@ -237,7 +242,7 @@ def _solve_share(points, metric, tasks, s: int, workers: int) -> list[tuple[Edge
     mine = range(s, len(tasks), workers)
     groups: dict = {}
     for i in mine:
-        groups.setdefault(points.count if tasks[i] is None else len(tasks[i]), []).append(i)
+        groups.setdefault(len(tasks[i]), []).append(i)
     results = {}
     for size, group in groups.items():
         width = lockstep_width(metric, points.dim, size)
@@ -262,7 +267,9 @@ def _fork_share(points, metric, tasks, s: int, workers: int, siblings):
         try:
             outcome = _solve_share(points, metric, tasks, s, workers)
         except Exception as exc:
-            outcome = exc
+            import traceback  # only a failing child pays for the import
+
+            outcome = exc, traceback.format_exc()
         with os.fdopen(w, "wb") as out:
             pickle.dump(outcome, out)
     finally:

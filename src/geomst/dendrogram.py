@@ -59,6 +59,10 @@ class Dendrogram:
         for arr in (a, b, height, size):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        # Unpickling runs the constructor, so a copy is checked and read-only.
+        return Dendrogram, (self.count, self.a, self.b, self.height, self.size)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dendrogram):
             return NotImplemented

@@ -15,14 +15,14 @@ without ties makes seven array calls besides the distance block:
   that slot is set to inf, and the weight at the argmin of the rest is
   compared with the old value; only a tied minimum pays for the (u, v)
   tie-break, and the slot is restored either way;
-- move (scalar stores and one row copy): the chosen vertex's row leaves
-  position q and the vertex at the frontier head moves into the hole;
-  in-tree slots are never read again, so nothing is written back;
+- move (scalar stores and one row copy): the chosen vertex's id, weight
+  and source swap with position t's, so that position holds step t's
+  edge and the tree is read from positions 1..m-1 at the end; the
+  coordinates at t move into the hole at q, and in-tree coordinates are
+  never read again, so the chosen row's are not written back;
 - update (5): a strict and an equal comparison, a count of the ties, an
   in-place minimum and one masked store of the new source; the (u, v)
-  rule runs only when some weight ties;
-- emit (scalar stores): u, v and w go into preallocated arrays, which
-  become the task's EdgeList, ordered by one lexsort, after the last step.
+  rule runs only when some weight ties.
 
 Below d = 8 the private working copy is column-major (Fortran order), so
 the frontier work[t + 1:] is an (r, d) view with contiguous columns and
@@ -205,10 +205,6 @@ def dense_mst(
     best_from = np.empty(m, dtype=np.int64)
     best_w[1:] = block(work[0], work[1:])
     best_from[1:] = gid[0]
-    # Tree edges in the order they join: from-vertex, new vertex, weight.
-    out_from = np.empty(m - 1, dtype=np.int64)
-    out_to = np.empty(m - 1, dtype=np.int64)
-    out_w = np.empty(m - 1, dtype=np.float64)
 
     for t in range(1, m):
         frontier = best_w[t:]
@@ -222,9 +218,6 @@ def dense_mst(
             w = frontier[q]
         q += t
         g = gid[q]
-        out_from[t - 1] = best_from[q]
-        out_to[t - 1] = g
-        out_w[t - 1] = w
         if bias is not None:
             row_bias = bias[q]
             bias[q] = bias[t]
@@ -235,9 +228,9 @@ def dense_mst(
         else:
             row = work[q].copy()
             work[q] = work[t]
-            gid[q] = gid[t]
-            best_w[q] = best_w[t]
-            best_from[q] = best_from[t]
+            gid[q], gid[t] = gid[t], g
+            best_w[q], best_w[t] = best_w[t], w
+            best_from[q], best_from[t] = best_from[t], best_from[q]
         if t + 1 == m:
             break
         tail_w = best_w[t + 1 :]
@@ -270,8 +263,8 @@ def dense_mst(
 
     if stats is not None:
         stats.distance_evals += m * (m - 1) // 2
-    finite = np.isfinite(out_w)
-    return EdgeList(out_from[finite], out_to[finite], out_w[finite])
+    finite = np.isfinite(best_w[1:])
+    return EdgeList(best_from[1:][finite], gid[1:][finite], best_w[1:][finite])
 
 
 def lockstep_width(metric: Metric, dim: int, m: int) -> int:

@@ -86,6 +86,10 @@ class PointSet:
         self._norms = None
         self._units = None
 
+    def __reduce__(self):
+        # Unpickling runs the constructor, so a copy is checked and read-only.
+        return PointSet, (self._coords, self._ids)
+
     @property
     def count(self) -> int:
         return self._coords.shape[0]
@@ -223,22 +227,18 @@ class Metric:
         reduced over the last axis.
         """
         kind = self.kind
-        if kind == "euclidean":
-            diff = rows - a
-            diff *= diff
-            return np.sqrt(diff.sum(axis=-1))
-        if kind == "squared_euclidean":
-            diff = rows - a
-            diff *= diff
-            return diff.sum(axis=-1)
         if kind == "manhattan":
             return np.abs(rows - a).sum(axis=-1)
         if kind == "chebyshev":
             return np.abs(rows - a).max(axis=-1)
-        # cosine_distance, on unit rows
         diff = rows - a
         diff *= diff
-        return 0.5 * diff.sum(axis=-1)
+        total = diff.sum(axis=-1)
+        if kind == "euclidean":
+            return np.sqrt(total)
+        if kind == "cosine_distance":  # on unit rows
+            return 0.5 * total
+        return total  # squared_euclidean
 
 
 def distance(metric: Metric, a, b, stats: RunStats | None = None) -> float:

@@ -61,6 +61,10 @@ class EdgeList:
         for arr in (self.u, self.v, self.w):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        # Unpickling runs the constructor, so a copy is checked and read-only.
+        return EdgeList, (self.u, self.v, self.w)
+
     @classmethod
     def concat(cls, lists: Sequence[EdgeList]) -> EdgeList:
         """The edges of one or more lists, in one list."""

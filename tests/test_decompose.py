@@ -2,9 +2,11 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
+import traceback
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +25,7 @@ from geomst import (
     MetricDomainError,
     PARTITION_STRATEGIES,
     DataError,
+    EdgeList,
     Partition,
     PointSet,
     RunStats,
@@ -32,6 +35,7 @@ from geomst import (
     format_edges,
     generate_instance,
     make_partition,
+    mst_to_dendrogram,
     oracle_mst,
     redundancy_factor,
 )
@@ -85,6 +89,49 @@ def test_partition_validation():
 def test_partition_rejects_non_integer_blocks():
     with pytest.raises(UsageError, match="block indices must be integers"):
         Partition(([0.5, 1.9], [2.2]))
+
+
+_MARK = 0.1234567  # its eight bytes occur once in each pickle below
+
+
+def _arrays(x) -> list:
+    """Every array x holds."""
+    if isinstance(x, PointSet):
+        return [x.coords, x.ids]
+    if isinstance(x, Partition):
+        return list(x.blocks)
+    if isinstance(x, EdgeList):
+        return [x.u, x.v, x.w]
+    return [x.a, x.b, x.height, x.size]
+
+
+@pytest.mark.parametrize(
+    "make, old, new, error",
+    [
+        (lambda: PointSet([[_MARK, 2.0], [3.0, 4.0]]), np.float64(_MARK), np.float64(np.inf), DataError),
+        (lambda: EdgeList([0, 1], [1, 2], [_MARK, 5.0]), np.float64(_MARK), np.float64(np.nan), UsageError),
+        (lambda: make_partition(1000, 2), np.int64(777), np.int64(778), UsageError),
+        (
+            lambda: mst_to_dendrogram(EdgeList([0, 1], [1, 2], [_MARK, 5.0]), 3),
+            np.float64(_MARK),
+            np.float64(9.0),
+            UsageError,
+        ),
+    ],
+    ids=["PointSet", "EdgeList", "Partition", "Dendrogram"],
+)
+def test_unpickling_runs_the_constructor(make, old, new, error):
+    # Worker processes send their task trees as pickles: a copy must be
+    # equal, read-only, and checked like a constructed one.
+    x = make()
+    payload = pickle.dumps(x)
+    y = pickle.loads(payload)
+    assert type(y) is type(x)
+    assert all(map(np.array_equal, _arrays(y), _arrays(x)))
+    assert not any(arr.flags.writeable for arr in _arrays(y))
+    assert payload.count(old.tobytes()) == 1
+    with pytest.raises(error):
+        pickle.loads(payload.replace(old.tobytes(), new.tobytes()))
 
 
 def test_three_singleton_blocks_hand_trace():
@@ -323,6 +370,11 @@ def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monk
     with pytest.raises(ValueError) as caught:
         decomposed_mst(pts, m, part, "gather", 2)
     assert type(caught.value) is ValueError and str(caught.value) == "task (0, 2)"
+    # The child's frames, down to the patched batch solver that raised, are
+    # in the chained cause.
+    text = "".join(traceback.format_exception(caught.value))
+    assert "in _solve_share" in text and "in patched" in text
+    assert "in patched" in str(caught.value.__cause__)
     assert no_child_processes()
 
 
@@ -403,24 +455,27 @@ def _forbid_fork(monkeypatch):
 @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
 def test_one_block_is_the_whole_set_task_in_this_process(monkeypatch, strategy, merge):
     _forbid_fork(monkeypatch)
-    pts = generate_instance(12, 25, 3, "gaussian")
     m = Metric("euclidean")
     part = make_partition(25, 1, strategy, 5)
-    tree, stats = decomposed_mst(pts, m, part, merge, 4)
-    whole = RunStats()
-    assert format_edges(tree) == format_edges(dense_mst(pts, m, whole))
-    assert (stats.tasks_executed, stats.distance_evals) == (1, whole.distance_evals)
-    assert (stats.edges_gathered, stats.combine_input_sizes) == (0, [])
+    # d = 64 bounds each step with a gemv and d = 256 with the task's Gram; a
+    # shuffled block starts Prim from a permuted row order with the bound on.
+    for d in (3, 64, 256):
+        pts = generate_instance(12, 25, d, "gaussian")
+        tree, stats = decomposed_mst(pts, m, part, merge, 4)
+        whole = RunStats()
+        assert format_edges(tree) == format_edges(dense_mst(pts, m, whole))
+        assert (stats.tasks_executed, stats.distance_evals) == (1, whole.distance_evals)
+        assert (stats.edges_gathered, stats.combine_input_sizes) == (0, [])
 
-    coords = pts.coords.copy()
-    coords[[7, 19]] = 0.0  # the shuffled block lists 19 first; the whole set names 7
-    zero = PointSet(coords)
-    cosine = Metric("cosine_distance")
-    with pytest.raises(MetricDomainError) as expected:
-        dense_mst(zero, cosine)
-    with pytest.raises(MetricDomainError) as caught:
-        decomposed_mst(zero, cosine, part, merge, 4)
-    assert str(caught.value) == str(expected.value)
+        coords = pts.coords.copy()
+        coords[[7, 19]] = 0.0  # the shuffled block lists 19 first; the whole set names 7
+        zero = PointSet(coords)
+        cosine = Metric("cosine_distance")
+        with pytest.raises(MetricDomainError) as expected:
+            dense_mst(zero, cosine)
+        with pytest.raises(MetricDomainError) as caught:
+            decomposed_mst(zero, cosine, part, merge, 4)
+        assert str(caught.value) == str(expected.value)
 
 
 def test_one_worker_forks_nothing(monkeypatch):
