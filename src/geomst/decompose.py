@@ -19,10 +19,10 @@ per other share. A share hands out its tasks in batches of one size: a
 batch of two or more runs in lockstep (dense.lockstep_mst), one step for
 all of them, and a single task, or one whose steps dense_mst bounds, runs
 alone. The children inherit the points and the task list, and each
-returns its task trees as pickled EdgeLists plus evaluation counts, or
-the exception its share raised with the child's traceback, over a pipe;
-an EdgeList unpickles through its constructor. The trees are merged in
-task order whatever order the shares finish in. With one worker, as with
+returns its task forests as pickled EdgeLists, or the exception its
+share raised with the child's traceback, over a pipe; an EdgeList
+unpickles through its constructor. The forests are merged in task order
+whatever order the shares finish in. With one worker, as with
 one block or where os.fork does not exist, the same runner forks nothing
 and solves the single share in this process. It needs neither
 multiprocessing nor a `__main__` guard.
@@ -31,6 +31,7 @@ multiprocessing nor a `__main__` guard.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
 import signal
@@ -50,9 +51,9 @@ MERGE_STRATEGIES = ("gather", "reduce")
 PARTITION_STRATEGIES = ("contiguous", "shuffled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Non-empty, pairwise-disjoint index blocks covering {0..n-1}."""
+    """Non-empty, pairwise-disjoint index blocks covering {0..n-1}; equal when their blocks are."""
 
     blocks: tuple
 
@@ -73,6 +74,11 @@ class Partition:
     def __reduce__(self):
         # Unpickling runs the constructor, so a copy is checked and read-only.
         return Partition, (self.blocks,)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return len(self.blocks) == len(other.blocks) and all(map(np.array_equal, self.blocks, other.blocks))
 
     @property
     def count(self) -> int:
@@ -145,20 +151,17 @@ def decomposed_mst(
     started = time.perf_counter()
 
     blocks = part.blocks
-    k = len(blocks)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    tasks = [np.concatenate((blocks[i], blocks[j])) for i, j in pairs] or [blocks[0]]
+    tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
     workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
     if points.count > 1:
         metric.check_domain(points)  # as the oracle checks it, so no task can fail on data
     metric.prepared(points)  # warm shared caches once, before workers inherit them
-    results = _solve_forked(points, metric, tasks, workers)
+    task_trees = _solve_forked(points, metric, tasks, workers)
 
     stats.tasks_executed = len(tasks)
-    task_trees, evals = zip(*results)
-    stats.distance_evals = sum(evals)
+    stats.distance_evals = sum(t.size * (t.size - 1) // 2 for t in tasks)
 
-    if k == 1:
+    if len(blocks) == 1:
         tree = task_trees[0]  # nothing to merge, so nothing is communicated
     elif merge == "gather":
         candidates = EdgeList.concat(task_trees)
@@ -183,21 +186,18 @@ def decomposed_mst(
     return tree, stats
 
 
-def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[tuple[EdgeList, int]]:
-    """(tree, evals) of each task in order.
+def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
+    """The forest of each task in order.
 
     One task is solved alone by dense_mst; more run in lockstep, so they
     need one size and a lockstep_width of at least their number.
     """
-    local = [RunStats() for _ in subsets]
     if len(subsets) == 1:
-        trees = [dense_mst(points, metric, local[0], subset=subsets[0])]
-    else:
-        trees = lockstep_mst(points, metric, subsets, local)
-    return [(tree, st.distance_evals) for tree, st in zip(trees, local)]
+        return [dense_mst(points, metric, subset=subsets[0])]
+    return lockstep_mst(points, metric, subsets)
 
 
-def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
+def _solve_forked(points, metric, tasks, workers) -> list[EdgeList]:
     """Every task's result, in task order, from this process and workers - 1 forked children.
 
     Share s is tasks s, s + workers, ...: this process solves share 0 and a
@@ -233,7 +233,7 @@ def _solve_forked(points, metric, tasks, workers) -> list[tuple[EdgeList, int]]:
     return results
 
 
-def _solve_share(points, metric, tasks, s: int, workers: int) -> list[tuple[EdgeList, int]]:
+def _solve_share(points, metric, tasks, s: int, workers: int) -> list[EdgeList]:
     """Results of tasks s, s + workers, ... in order.
 
     The share hands out its tasks in batches of one size, up to

@@ -16,10 +16,11 @@ without ties makes seven array calls besides the distance block:
   compared with the old value; only a tied minimum pays for the (u, v)
   tie-break, and the slot is restored either way;
 - move (scalar stores and one row copy): the chosen vertex's id, weight
-  and source swap with position t's, so that position holds step t's
-  edge and the tree is read from positions 1..m-1 at the end; the
-  coordinates at t move into the hole at q, and in-tree coordinates are
-  never read again, so the chosen row's are not written back;
+  and source swap with position t's, a no-op where q is t, so position t
+  holds step t's edge and the tree is read from positions 1..m-1 at the
+  end; the chosen row is copied out and the coordinates at t move into
+  the hole at q, and in-tree coordinates are never read again, so the
+  copy is not written back;
 - update (5): a strict and an equal comparison, a count of the ties, an
   in-place minimum and one masked store of the new source; the (u, v)
   rule runs only when some weight ties.
@@ -55,12 +56,13 @@ float array, slot-minor below d = 8 as above. A step without ties makes:
 - update: the five calls above, over (T, r).
 
 The tree is read from the slots at the end: slot t holds the vertex step t
-chose, with its weight and source. A step costs about c(T) = 30 us + 5.9 us
-* T (m = 750, d = 2 euclidean, T = 1..28, 2-vCPU x86_64), against 22.6 us
-for a step of the loop above, so a task alone keeps that loop;
-lockstep_width caps T so that the slots fit _LOCKSTEP_MAX_BYTES, and is 1
-where steps are bounded: the bound keeps per-task state, and T Grams at
-once would hold T times the memory.
+chose, with its weight and source; each task's m*(m-1)/2 pairs are
+counted by the caller, over its task list. A step costs about
+c(T) = 30 us + 5.9 us * T (m = 750, d = 2 euclidean, T = 1..28, 2-vCPU
+x86_64), against 22.6 us for a step of the loop above, so a task alone
+keeps that loop; lockstep_width caps T so that the slots fit
+_LOCKSTEP_MAX_BYTES, and is 1 where steps are bounded: the bound keeps
+per-task state, and T Grams at once would hold T times the memory.
 
 Step bound. For euclidean, squared_euclidean and cosine_distance (on unit
 rows) from d = _BOUND_FROM up, a step first bounds every frontier row from
@@ -223,14 +225,11 @@ def dense_mst(
             bias[q] = bias[t]
             row_pos = pos[q]
             pos[q] = pos[t]
-        if q == t:
-            row = work[t]
-        else:
-            row = work[q].copy()
-            work[q] = work[t]
-            gid[q], gid[t] = gid[t], g
-            best_w[q], best_w[t] = best_w[t], w
-            best_from[q], best_from[t] = best_from[t], best_from[q]
+        row = work[q].copy()
+        work[q] = work[t]
+        gid[q], gid[t] = gid[t], g
+        best_w[q], best_w[t] = best_w[t], w
+        best_from[q], best_from[t] = best_from[t], best_from[q]
         if t + 1 == m:
             break
         tail_w = best_w[t + 1 :]
@@ -284,13 +283,12 @@ def _has_step_bound(kind: str, d: int) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> list[EdgeList]:
+def lockstep_mst(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
     """dense_mst of every subset, with each numpy call of a step serving all of them.
 
     subsets is a list of index sequences of one size, and the metric has no
     step bound at the points' dimension (lockstep_width above 1). Returns
-    the forests in order; stats, when given, holds one RunStats per subset,
-    and each task adds its m*(m-1)/2 evaluations there.
+    the forests in order.
     """
     rows = np.stack([subset_indices(points, subset) for subset in subsets])
     metric.check_domain(points, rows.reshape(-1))
@@ -355,8 +353,6 @@ def lockstep_mst(points: PointSet, metric: Metric, subsets, stats=None) -> list[
     # Slot t now holds the vertex step t chose, with its weight and source.
     ends = slots[:, 1:, d + 1 :].astype(np.int64)
     finite = np.isfinite(best_w[:, 1:])
-    for st in stats or ():
-        st.distance_evals += m * (m - 1) // 2
     return [EdgeList(*gids[i][ends[i][finite[i]].T], best_w[i, 1:][finite[i]]) for i in range(T)]
 
 

@@ -86,6 +86,18 @@ def test_partition_validation():
         Partition(())
 
 
+def test_partitions_compare_by_value_and_are_unhashable():
+    a = make_partition(12, 3, "shuffled", seed=5)
+    assert a == make_partition(12, 3, "shuffled", seed=5)
+    assert a != make_partition(12, 4, "shuffled", seed=5)
+    assert a != make_partition(12, 3, "shuffled", seed=6)
+    assert a != make_partition(12, 3)
+    assert Partition(([0], [1])) != Partition(([0], [1], [2]))
+    assert a != a.blocks
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_partition_rejects_non_integer_blocks():
     with pytest.raises(UsageError, match="block indices must be integers"):
         Partition(([0.5, 1.9], [2.2]))
@@ -128,6 +140,8 @@ def test_unpickling_runs_the_constructor(make, old, new, error):
     y = pickle.loads(payload)
     assert type(y) is type(x)
     assert all(map(np.array_equal, _arrays(y), _arrays(x)))
+    if isinstance(x, Partition):
+        assert y == x
     assert not any(arr.flags.writeable for arr in _arrays(y))
     assert payload.count(old.tobytes()) == 1
     with pytest.raises(error):
@@ -175,17 +189,28 @@ def test_work_counter_closed_form_for_even_partitions(n, k):
     assert stats.tasks_executed == (k * (k - 1) // 2 if k >= 2 else 1)
 
 
-def test_work_counter_general_form_for_uneven_partitions():
-    pts = generate_instance(55, 23, 4, "gaussian")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name, d",
+    [
+        ("manhattan", 4),  # tasks of 10 and 9 points run in lockstep batches
+        ("euclidean", 64),  # bounded tasks are solved alone
+    ],
+)
+def test_work_counter_general_form_for_uneven_partitions(name, d, workers):
+    # The runner's count is the sum of the kernel's own counter over the tasks.
+    pts = generate_instance(55, 23, d, "gaussian")
     part = make_partition(23, 5)
     sizes = part.block_sizes()
-    _, stats = decomposed_mst(pts, Metric("manhattan"), part, "gather", 2)
+    _, stats = decomposed_mst(pts, Metric(name), part, "gather", workers)
     expected = 0
+    kernel = RunStats()
     for i in range(5):
         for j in range(i + 1, 5):
             mij = sizes[i] + sizes[j]
             expected += mij * (mij - 1) // 2
-    assert stats.distance_evals == expected
+            dense_mst(pts, Metric(name), kernel, subset=np.concatenate((part.blocks[i], part.blocks[j])))
+    assert stats.distance_evals == expected == kernel.distance_evals
 
 
 def test_gather_count_is_sum_of_task_tree_sizes():
@@ -301,10 +326,8 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
     monkeypatch.setattr(decompose, "_solve_batch", recording)
     done = decompose._solve_share(pts, m, tasks, 0, 1)
     assert sizes == batches
-    for task, (tree, evals) in zip(tasks, done, strict=True):
-        alone = RunStats()
-        assert format_edges(tree) == format_edges(dense_mst(pts, m, alone, subset=task))
-        assert evals == alone.distance_evals
+    for task, tree in zip(tasks, done, strict=True):
+        assert format_edges(tree) == format_edges(dense_mst(pts, m, subset=task))
 
 
 def test_worker_errors_come_through_unchanged():
