@@ -154,11 +154,11 @@ def _load(args) -> tuple[PointSet, Metric]:
 
 
 def _compute(args, points: PointSet, metric: Metric):
-    """Partition, decompose and solve; returns (tree, stats, k, workers)."""
+    """Partition, decompose and solve; returns (tree, stats, k)."""
     workers = args.workers or usable_cores()
     n = points.count
     if n == 0:
-        return EdgeList(), RunStats(merge_strategy=args.merge), 0, workers
+        return EdgeList(), RunStats(merge_strategy=args.merge), 0
     if args.partitions is None:
         k = min(n, max(1, math.ceil(math.sqrt(2 * workers))))
     else:
@@ -167,7 +167,7 @@ def _compute(args, points: PointSet, metric: Metric):
         k = min(args.partitions, n)
     part = make_partition(n, k, args.partition_strategy, args.seed)
     tree, stats = decomposed_mst(points, metric, part, args.merge, workers)
-    return tree, stats, k, workers
+    return tree, stats, k
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -178,7 +178,7 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _maybe_write_stats(args, stats, points, k, workers) -> None:
+def _maybe_write_stats(args, stats, points, k) -> None:
     if args.stats is not None:
         write_stats(
             stats,
@@ -187,16 +187,16 @@ def _maybe_write_stats(args, stats, points, k, workers) -> None:
             d=points.dim,
             k=k,
             metric=args.metric,
-            workers=workers,
+            workers=stats.workers,
             seed=args.seed,
         )
 
 
 def cmd_mst(args) -> int:
     points, metric = _load(args)
-    tree, stats, k, workers = _compute(args, points, metric)
+    tree, stats, k = _compute(args, points, metric)
     _emit(format_edges(tree), args.output)
-    _maybe_write_stats(args, stats, points, k, workers)
+    _maybe_write_stats(args, stats, points, k)
     return 0
 
 
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     points, metric = _load(args)
     if points.count > DEFAULT_MAX_POINTS:
         raise UsageError(f"verify takes at most {DEFAULT_MAX_POINTS} points, got {points.count}")
-    tree, stats, k, workers = _compute(args, points, metric)
+    tree, stats, k = _compute(args, points, metric)
     failures = 0
 
     reference = oracle_mst(points, metric)
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
 
     if args.output is not None:
         write_edges(tree, args.output)
-    _maybe_write_stats(args, stats, points, k, workers)
+    _maybe_write_stats(args, stats, points, k)
     return 0 if failures == 0 else 3
 
 
@@ -256,11 +256,11 @@ def cmd_dendrogram(args) -> int:
     points, metric = _load(args)
     if points.count == 0:
         raise DataError(f"{args.input}: no points, a dendrogram needs at least one leaf")
-    tree, stats, k, workers = _compute(args, points, metric)
+    tree, stats, k = _compute(args, points, metric)
     dendro = mst_to_dendrogram(tree, points.count)
     _emit(format_edges(tree), args.output)
     write_dendrogram(dendro, args.dendro_output)
-    _maybe_write_stats(args, stats, points, k, workers)
+    _maybe_write_stats(args, stats, points, k)
     return 0
 
 

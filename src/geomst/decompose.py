@@ -15,9 +15,9 @@ distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
 parallel too, not only the numpy arithmetic that releases the GIL. The
 calling process solves one share of the tasks itself and forks one child
-per other share. A share hands out its tasks in batches of one size: a
-batch of two or more runs in lockstep (dense.lockstep_mst), one step for
-all of them, and a single task, or one whose steps dense_mst bounds, runs
+per other share. A share hands out its tasks in groups of one size: a
+group of two or more runs in lockstep (dense.lockstep_mst), one step for
+many of them, and a single task, or one whose steps dense_mst bounds, runs
 alone. The children inherit the points and the task list, and each
 returns its task forests as pickled EdgeLists, or the exception its
 share raised with the child's traceback, over a pipe; an EdgeList
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_mst, lockstep_mst, lockstep_width
+from .dense import dense_mst, has_step_bound, lockstep_mst
 from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, _int64_array
 from .graph import EdgeList, kruskal, merges
@@ -134,7 +134,7 @@ def decomposed_mst(
     pair, or a single block as the one task. workers defaults to
     usable_cores() and is capped at the task count, and at 1 where os.fork
     does not exist; this process solves every w-th task and w - 1 forked
-    children the rest, all reaped before return.
+    children the rest, all reaped before return. stats.workers is w.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -154,11 +154,12 @@ def decomposed_mst(
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
     workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
     if points.count > 1:
-        metric.check_domain(points)  # as the oracle checks it, so no task can fail on data
-    metric.prepared(points)  # warm shared caches once, before workers inherit them
+        # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
+        metric.check_domain(points)
     task_trees = _solve_forked(points, metric, tasks, workers)
 
     stats.tasks_executed = len(tasks)
+    stats.workers = workers
     stats.distance_evals = sum(t.size * (t.size - 1) // 2 for t in tasks)
 
     if len(blocks) == 1:
@@ -187,13 +188,13 @@ def decomposed_mst(
 
 
 def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
-    """The forest of each task in order.
+    """The forest of each task of one size, in order.
 
-    One task is solved alone by dense_mst; more run in lockstep, so they
-    need one size and a lockstep_width of at least their number.
+    dense_mst solves them one by one when there is one task or their steps
+    are bounded; otherwise they run in lockstep.
     """
-    if len(subsets) == 1:
-        return [dense_mst(points, metric, subset=subsets[0])]
+    if len(subsets) == 1 or has_step_bound(metric, points.dim):
+        return [dense_mst(points, metric, subset=subset) for subset in subsets]
     return lockstep_mst(points, metric, subsets)
 
 
@@ -236,19 +237,16 @@ def _solve_forked(points, metric, tasks, workers) -> list[EdgeList]:
 def _solve_share(points, metric, tasks, s: int, workers: int) -> list[EdgeList]:
     """Results of tasks s, s + workers, ... in order.
 
-    The share hands out its tasks in batches of one size, up to
-    lockstep_width tasks each, the sizes in the order of their first task.
+    The share hands out its tasks in one batch per size, the sizes in the
+    order of their first task.
     """
     mine = range(s, len(tasks), workers)
     groups: dict = {}
     for i in mine:
         groups.setdefault(len(tasks[i]), []).append(i)
     results = {}
-    for size, group in groups.items():
-        width = lockstep_width(metric, points.dim, size)
-        for j in range(0, len(group), width):
-            batch = group[j : j + width]
-            results.update(zip(batch, _solve_batch(points, metric, [tasks[i] for i in batch])))
+    for group in groups.values():
+        results.update(zip(group, _solve_batch(points, metric, [tasks[i] for i in group])))
     return [results[i] for i in mine]
 
 

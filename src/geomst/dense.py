@@ -59,10 +59,10 @@ The tree is read from the slots at the end: slot t holds the vertex step t
 chose, with its weight and source; each task's m*(m-1)/2 pairs are
 counted by the caller, over its task list. A step costs about
 c(T) = 30 us + 5.9 us * T (m = 750, d = 2 euclidean, T = 1..28, 2-vCPU
-x86_64), against 22.6 us for a step of the loop above, so a task alone
-keeps that loop; lockstep_width caps T so that the slots fit
-_LOCKSTEP_MAX_BYTES, and is 1 where steps are bounded: the bound keeps
-per-task state, and T Grams at once would hold T times the memory.
+x86_64), against 22.6 us for a step of the loop above, so a lone task keeps
+that loop. lockstep_mst runs as many tasks at once as fit _LOCKSTEP_MAX_BYTES,
+and tasks whose steps are bounded stay on dense_mst (has_step_bound): the
+bound keeps per-task state, and T Grams at once would hold T times the memory.
 
 Step bound. For euclidean, squared_euclidean and cosine_distance (on unit
 rows) from d = _BOUND_FROM up, a step first bounds every frontier row from
@@ -190,7 +190,7 @@ def dense_mst(
         work = np.asfortranarray(work)
     gid = points.ids[idx].copy()
     block = metric.block
-    bias = _bound_bias(work, metric.kind)
+    bias = _bound_bias(work, metric)
     if bias is not None:
         scale = _BOUND_SCALE[metric.kind]
         root = metric.kind == "euclidean"
@@ -266,33 +266,28 @@ def dense_mst(
     return EdgeList(best_from[1:][finite], gid[1:][finite], best_w[1:][finite])
 
 
-def lockstep_width(metric: Metric, dim: int, m: int) -> int:
-    """How many tasks of m points lockstep_mst solves at once.
-
-    1 where dense_mst bounds the steps, which keeps such tasks on their own;
-    otherwise as many as fit _LOCKSTEP_MAX_BYTES, and at least 1.
-    """
-    if _has_step_bound(metric.kind, dim):
-        return 1
-    return max(1, _LOCKSTEP_MAX_BYTES // (8 * m * (dim + 3)))
-
-
-def _has_step_bound(kind: str, d: int) -> bool:
-    """Whether dense_mst bounds the steps of tasks with this metric kind and dimension."""
-    return d >= _BOUND_FROM and kind in _BOUND_SCALE
+def has_step_bound(metric: Metric, dim: int) -> bool:
+    """Whether dense_mst bounds the steps of tasks with this metric and dimension."""
+    return dim >= _BOUND_FROM and metric.kind in _BOUND_SCALE
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def lockstep_mst(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
-    """dense_mst of every subset, with each numpy call of a step serving all of them.
+    """dense_mst of every subset, with each numpy call of a step serving many.
 
     subsets is a list of index sequences of one size, and the metric has no
-    step bound at the points' dimension (lockstep_width above 1). Returns
+    step bound at the points' dimension. The tasks run in order, as many at
+    once as fit _LOCKSTEP_MAX_BYTES; a run of one goes to dense_mst. Returns
     the forests in order.
     """
     rows = np.stack([subset_indices(points, subset) for subset in subsets])
-    metric.check_domain(points, rows.reshape(-1))
     T, m = rows.shape
+    width = max(1, _LOCKSTEP_MAX_BYTES // (8 * m * (points.dim + 3)))
+    if T > width:
+        return [f for run in np.split(rows, range(width, T, width)) for f in lockstep_mst(points, metric, run)]
+    if T == 1:
+        return [dense_mst(points, metric, subset=rows[0])]
+    metric.check_domain(points, rows.reshape(-1))
     d = points.dim
     gids = points.ids[rows]
     # slots[i, j]: coordinates, frontier weight, and the local indices (into
@@ -373,7 +368,7 @@ def _canonical_tie(w: np.ndarray, frm: np.ndarray, gx: np.ndarray, value) -> int
     return int(ties[np.lexsort((v, u))[0]])
 
 
-def _bound_bias(work: np.ndarray, kind: str) -> np.ndarray | None:
+def _bound_bias(work: np.ndarray, metric: Metric) -> np.ndarray | None:
     """Per-row term of the step bound, or None where the bound is not used.
 
     None below _BOUND_FROM, for the metrics the bound does not serve, and
@@ -382,12 +377,12 @@ def _bound_bias(work: np.ndarray, kind: str) -> np.ndarray | None:
     module docstring).
     """
     d = work.shape[1]
-    if not _has_step_bound(kind, d):
+    if not has_step_bound(metric, d):
         return None
     sq = np.einsum("ij,ij->i", work, work)
     if not sq.max() <= _NORM_LIMIT:
         return None
-    sq *= _BOUND_SCALE[kind] * (1.0 - (2 * d + 16) * 2.0**-52)
+    sq *= _BOUND_SCALE[metric.kind] * (1.0 - (2 * d + 16) * 2.0**-52)
     return sq
 
 

@@ -39,13 +39,16 @@ def _has_repeats(values: np.ndarray) -> bool:
 
 
 def _int64_array(values, what: str) -> np.ndarray:
-    """values as a new int64 array; a non-empty input of a non-integer dtype is a UsageError.
+    """values as a new int64 array; a non-integer dtype or a value above 2**63 - 1 is a UsageError.
 
-    A cast would truncate 0.5 to 0 and read a boolean mask as indices 0 and 1.
+    A cast would truncate 0.5 to 0, read a boolean mask as indices 0 and 1,
+    and wrap an unsigned 2**63 round to -2**63.
     """
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise UsageError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.size and arr.dtype.kind == "u" and arr.max() > 2**63 - 1:
+        raise UsageError(f"{what} must be at most 2**63 - 1, got {arr.max()}")
     return arr.astype(np.int64)
 
 

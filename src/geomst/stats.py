@@ -14,7 +14,7 @@ class RunStats:
     when the run consists of a single task and no merge happens.
     combine_input_sizes records, for the reduce strategy only, how many edges
     each combine consumed; its last entry is the final combine's input size.
-    wall_time is in seconds.
+    wall_time is in seconds. workers counts the processes that solved tasks.
     """
 
     distance_evals: int = 0
@@ -23,3 +23,4 @@ class RunStats:
     merge_strategy: str = "gather"
     wall_time: float = 0.0
     combine_input_sizes: list[int] = field(default_factory=list)
+    workers: int = 0

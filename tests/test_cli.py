@@ -208,7 +208,8 @@ def test_default_partitions_are_ceil_sqrt_two_workers(
     code, _, _ = run(argv, capsys)
     assert code == 0
     stats = dict(line.split("=", 1) for line in dest.read_text(encoding="utf-8").splitlines())
-    assert (stats["workers"], stats["k"], stats["tasks_executed"]) == (workers, k, tasks)
+    # workers counts the processes that ran: here one per task
+    assert (stats["workers"], stats["k"], stats["tasks_executed"]) == (tasks, k, tasks)
 
 
 def test_default_partitions_are_clamped_to_the_point_count(points_csv, tmp_path, capsys):
@@ -246,9 +247,12 @@ def test_format_flag_overrides_extension(tmp_path, capsys):
 def test_empty_vecbin_yields_empty_tree(tmp_path, capsys):
     path = tmp_path / "empty.vecbin"
     write_points(PointSet(np.empty((0, 3))), str(path))
-    code, out, _ = run(["mst", "--input", str(path), "--workers", "1"], capsys)
+    dest = tmp_path / "stats.txt"
+    code, out, _ = run(["mst", "--input", str(path), "--workers", "2", "--stats", str(dest)], capsys)
     assert code == 0
     assert out == ""
+    stats = dict(line.split("=", 1) for line in dest.read_text(encoding="utf-8").splitlines())
+    assert (stats["workers"], stats["k"], stats["tasks_executed"]) == ("0", "0", "0")
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, capsys):

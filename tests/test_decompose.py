@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import geomst
 import geomst.decompose as decompose
 import geomst.dense as dense_module
+import geomst.geometry as geometry
 from geomst import (
     METRIC_NAMES,
     MERGE_STRATEGIES,
@@ -101,6 +102,14 @@ def test_partitions_compare_by_value_and_are_unhashable():
 def test_partition_rejects_non_integer_blocks():
     with pytest.raises(UsageError, match="block indices must be integers"):
         Partition(([0.5, 1.9], [2.2]))
+
+
+def test_partition_refuses_indices_beyond_int64():
+    with pytest.raises(UsageError, match=r"block indices must be at most 2\*\*63 - 1, got 9223372036854775808"):
+        Partition(([0], np.array([2**63], dtype=np.uint64)))
+    # 2**63 - 1 converts, and is then refused as not covering 0..n-1
+    with pytest.raises(UsageError, match="blocks must disjointly cover"):
+        Partition(([0], np.array([2**63 - 1], dtype=np.uint64)))
 
 
 _MARK = 0.1234567  # its eight bytes occur once in each pickle below
@@ -300,20 +309,22 @@ def test_workers_do_not_change_the_answer():
 
 
 @pytest.mark.parametrize(
-    "name, d, cap, batches",
+    "name, d, cap, lockstep",
     [
-        ("manhattan", 3, None, [[24] * 6, [23] * 8, [22]]),
-        # 4 tasks of 23 or 24 points in 3 + 3 floats each fit 4608 bytes
-        ("manhattan", 3, 4608, [[24] * 4, [24] * 2, [23] * 4, [23] * 4, [22]]),
-        # a task whose steps are bounded is solved alone
-        ("euclidean", 32, None, [[24]] * 6 + [[23]] * 8 + [[22]]),
+        ("manhattan", 3, None, True),
+        # 4 tasks of 23 or 24 points in 3 + 3 floats each fit 4608 bytes, so
+        # lockstep_mst splits each group into runs of 4
+        ("manhattan", 3, 4608, True),
+        # tasks whose steps are bounded are solved one by one
+        ("euclidean", 32, None, False),
     ],
 )
-def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, cap, batches, monkeypatch):
+def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, cap, lockstep, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(dense_module, "_LOCKSTEP_MAX_BYTES", cap)
     pts = generate_instance(21, 70, d, "gaussian")
     m = Metric(name)
+    assert dense_module.has_step_bound(m, d) != lockstep
     blocks = make_partition(70, 6).blocks  # four blocks of 12 points, two of 11
     tasks = [np.concatenate((a, b)) for a, b in combinations(blocks, 2)]
     sizes = []
@@ -325,9 +336,29 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
 
     monkeypatch.setattr(decompose, "_solve_batch", recording)
     done = decompose._solve_share(pts, m, tasks, 0, 1)
-    assert sizes == batches
+    assert sizes == [[24] * 6, [23] * 8, [22]]
     for task, tree in zip(tasks, done, strict=True):
         assert format_edges(tree) == format_edges(dense_mst(pts, m, subset=task))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_stats_count_the_processes_that_solved_tasks(workers):
+    pts, m, part = _three_tasks()
+    _, stats = decomposed_mst(pts, m, part, "gather", workers)
+    assert stats.workers == min(workers, stats.tasks_executed) == min(workers, 3)
+    _, stats = decomposed_mst(pts, m, make_partition(30, 1), "gather", workers)
+    assert stats.workers == 1
+    assert no_child_processes()
+
+
+def test_the_cosine_unit_rows_are_computed_once_per_run(monkeypatch):
+    calls = []
+    unit_rows = geometry._unit_rows
+    monkeypatch.setattr(geometry, "_unit_rows", lambda coords: calls.append(len(coords)) or unit_rows(coords))
+    pts = PointSet(generate_instance(6, 30, 4, "gaussian").coords)
+    tree, _ = decomposed_mst(pts, Metric("cosine_distance"), make_partition(30, 3), "gather", 1)
+    assert calls == [30]
+    assert tree == oracle_mst(pts, Metric("cosine_distance"))
 
 
 def test_worker_errors_come_through_unchanged():

@@ -427,7 +427,7 @@ def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tas
     # random order put a tie's (u, v) winner away from its first position.
     # lockstep_mst counts nothing; the counter checked is dense_mst's, the
     # closed form decomposed_mst sums over its tasks.
-    assert dense_module.lockstep_width(Metric(name), d, 30) >= tasks
+    assert not dense_module.has_step_bound(Metric(name), d)
     calls = {"_canonical_tie": 0, "_precedes": 0}
     for fn in calls:
         real = getattr(dense_module, fn)
@@ -444,6 +444,43 @@ def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tas
         alone = RunStats()
         assert _bits(tree) == _bits(dense_mst(pts, m, alone, subset=subset))
         assert alone.distance_evals == 30 * 29 // 2
+
+
+@pytest.mark.parametrize(
+    "tasks, cap, calls, alone",
+    [
+        (5, None, [5], 0),  # one run of every task
+        (5, 2 * 960, [5, 2, 2, 1], 1),  # 2 tasks of 20 points in 3 + 3 floats each fit 1920 bytes
+        (5, 1, [5, 1, 1, 1, 1, 1], 5),  # no two fit, so each task runs alone
+        (1, None, [1], 1),
+    ],
+)
+def test_lockstep_splits_its_tasks_into_runs_that_fit_the_cap(tasks, cap, calls, alone, monkeypatch):
+    # A call with more tasks than fit hands each run to lockstep_mst again,
+    # and a run of one goes to dense_mst.
+    if cap is not None:
+        monkeypatch.setattr(dense_module, "_LOCKSTEP_MAX_BYTES", cap)
+    runs, lone = [], []
+    lockstep, dense = dense_module.lockstep_mst, dense_module.dense_mst
+
+    def recording_lockstep(points, metric, subsets):
+        runs.append(len(subsets))
+        return lockstep(points, metric, subsets)
+
+    def recording_dense(points, metric, subset):
+        lone.append(subset)
+        return dense(points, metric, subset=subset)
+
+    monkeypatch.setattr(dense_module, "lockstep_mst", recording_lockstep)
+    monkeypatch.setattr(dense_module, "dense_mst", recording_dense)
+    pts = generate_instance(22, 60, 3, "gaussian")
+    m = Metric("manhattan")
+    rng = np.random.default_rng(tasks)
+    subsets = [rng.choice(60, size=20, replace=False) for _ in range(tasks)]
+    trees = dense_module.lockstep_mst(pts, m, subsets)
+    assert runs == calls
+    assert len(lone) == alone
+    assert [_bits(t) for t in trees] == [_bits(dense(pts, m, subset=s)) for s in subsets]
 
 
 def test_lockstep_gives_each_task_its_finite_forest_and_full_counter():

@@ -170,6 +170,14 @@ def test_pointset_rejects_non_integer_ids():
     assert PointSet(np.zeros((2, 2)), ids=np.array([4, 9], dtype=np.uint8)).ids.tolist() == [4, 9]
 
 
+def test_pointset_refuses_ids_beyond_int64():
+    for ids in ([2**63], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(UsageError, match=r"ids must be at most 2\*\*63 - 1, got 9223372036854775808"):
+            PointSet(np.zeros((1, 2)), ids=ids)
+    big = np.array([0, 2**63 - 1], dtype=np.uint64)
+    assert PointSet(np.zeros((2, 2)), ids=big).ids.tolist() == [0, 2**63 - 1]
+
+
 def test_empty_pointset_is_allowed():
     pts = PointSet(np.empty((0, 3)))
     assert pts.count == 0 and pts.dim == 3

@@ -267,6 +267,14 @@ def test_edgelist_rejects_invalid_arrays(u, v, w, match):
         EdgeList(u, v, w)
 
 
+def test_edgelist_refuses_endpoints_beyond_int64():
+    for big in ([2**63], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(UsageError, match=r"edge endpoints must be at most 2\*\*63 - 1, got 9223372036854775808"):
+            EdgeList(big, [1], [1.0])
+    edges = EdgeList(np.array([2**63 - 1], dtype=np.uint64), [1], [1.0])
+    assert (edges.u.tolist(), edges.v.tolist()) == ([1], [2**63 - 1])
+
+
 def test_concat_keeps_every_edge_in_order():
     a = EdgeList([0, 1], [1, 2], [2.0, 1.0])
     b = EdgeList([0, 0], [1, 2], [2.0, 0.5])
