@@ -165,18 +165,17 @@ def decomposed_mst(
     if len(blocks) == 1:
         tree = task_trees[0]  # nothing to merge, so nothing is communicated
     elif merge == "gather":
-        candidates = EdgeList.concat(task_trees)
-        stats.edges_gathered = len(candidates)
-        tree = kruskal(candidates)
+        stats.edges_gathered = sum(map(len, task_trees))
+        tree = kruskal(task_trees)
     else:
         level = task_trees
         while len(level) > 1:
             combined = []
             for pair in zip(level[::2], level[1::2]):
-                candidates = EdgeList.concat(pair)
-                stats.edges_gathered += len(candidates)
-                stats.combine_input_sizes.append(len(candidates))
-                combined.append(kruskal(candidates))
+                size = len(pair[0]) + len(pair[1])
+                stats.edges_gathered += size
+                stats.combine_input_sizes.append(size)
+                combined.append(kruskal(pair))
             if len(level) % 2:
                 combined.append(level[-1])
             level = combined

@@ -39,12 +39,19 @@ def _has_repeats(values: np.ndarray) -> bool:
 
 
 def _int64_array(values, what: str) -> np.ndarray:
-    """values as a new int64 array; a non-integer dtype or a value above 2**63 - 1 is a UsageError.
+    """values as a new int64 array; a non-integer dtype or a value outside int64 is a UsageError.
 
     A cast would truncate 0.5 to 0, read a boolean mask as indices 0 and 1,
-    and wrap an unsigned 2**63 round to -2**63.
+    and wrap an unsigned 2**63 round to -2**63. A list holding a Python int
+    outside int64 comes back from np.asarray as float64 or object, so its
+    values are searched for that int, which the error names.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind in "fO" and isinstance(values, (list, tuple)):
+        for x in values:
+            if isinstance(x, (int, np.integer)) and not -(2**63) <= x <= 2**63 - 1:
+                bound = "at most 2**63 - 1" if x > 0 else "at least -2**63"
+                raise UsageError(f"{what} must be {bound}, got {x}")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise UsageError(f"{what} must be integers, got dtype {arr.dtype}")
     if arr.size and arr.dtype.kind == "u" and arr.max() > 2**63 - 1:

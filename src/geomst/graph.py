@@ -4,15 +4,18 @@ The (weight, u, v) lexicographic order is a strict total order on canonical
 edges, which makes the minimum spanning forest unique. EdgeList holds every
 edge list from the dense kernel to the TSV writer as u, v and w arrays in
 that order; it alone checks and orders edges, and Edge is its NamedTuple view.
-merges() is the package's one union-find scan: kruskal keeps the pairs it
-reports, the oracle and decomposed_mst find the first overflowing pair the
-tree needs with it, and mst_to_dendrogram reads its roots as cluster ids.
+_unite() is the package's one find-and-union loop. merges() runs it once
+over pairs in order, as Kruskal's union history: the oracle and
+decomposed_mst find the first overflowing pair the tree needs with it, and
+mst_to_dendrogram reads its roots as cluster ids. kruskal() runs it once a
+round of Filter-Kruskal, on the lightest candidates left, so it sorts only
+what it scans; gather, each reduce combine and the oracle call it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,45 +113,128 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
+def _unite(parent: list, pairs, out: list, limit: int) -> None:
+    """The package's one find-and-union loop, over (i, a, b) triples in order.
+
+    Each merge of two roots a and b is appended to out as (i, a, b) and
+    makes a new node, the next slot of parent, their parent. The loop stops
+    once out holds limit merges.
+    """
+    for i, a, b in pairs:
+        a, b = _root(parent, a), _root(parent, b)
+        if a != b:
+            parent[a] = parent[b] = len(parent)
+            parent.append(len(parent))
+            out.append((i, a, b))
+            if len(out) == limit:
+                return
+
+
+def _compact(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct ids of u and v, and the index of each end among them."""
+    s = np.sort(np.concatenate((u, v)))
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    ids = s[first]
+    return ids, np.searchsorted(ids, u), np.searchsorted(ids, v)
+
+
 def merges(u, v) -> list[tuple[int, int, int]]:
     """Kruskal's union history over the pairs (u[i], v[i]), scanned in order.
 
-    Ids are compacted to 0..r-1 with np.unique, so sparse or huge ids cost
-    nothing. A pair whose ends have different roots a and b is reported as
-    (i, a, b); at the t-th such merge node r+t becomes the parent of both
+    Ids are compacted to 0..r-1 in their sorted order, so sparse or huge ids
+    cost nothing. A pair whose ends have different roots a and b is reported
+    as (i, a, b); at the t-th such merge node r+t becomes the parent of both
     roots, so a root is its set's id, as in a linkage matrix. The scan stops
     at the (r-1)-th merge: one set then holds every id.
     """
-    ids, slot = np.unique(np.concatenate((u, v)), return_inverse=True)
-    r, half = ids.size, len(u)
-    parent = list(range(2 * r - 1))
-    out = []
-    for i, a, b in zip(range(half), slot[:half].tolist(), slot[half:].tolist()):
-        a, b = _root(parent, a), _root(parent, b)
-        if a != b:
-            parent[a] = parent[b] = r + len(out)
-            out.append((i, a, b))
-            if len(out) == r - 1:
-                break
+    ids, a, b = _compact(u, v)
+    out: list = []
+    _unite(list(range(ids.size)), zip(range(a.size), a.tolist(), b.tolist()), out, ids.size - 1)
     return out
 
 
-def kruskal(candidates: EdgeList | Iterable[tuple], n: int | None = None) -> EdgeList:
-    """Minimum spanning forest of an EdgeList or of (u, v, w) tuples, under the total order.
+class Pairs(NamedTuple):
+    """Candidate edges as kruskal reads them: weights, and the ends of any positions.
 
-    The forest is the pairs that merges() reports; n, when given, only bounds
-    the ids. An edge given more than once sits next to its copies in (w, u, v)
-    order, and the scan sees only the first: a copy would close a two-edge
-    cycle.
+    w[p] is candidate p's weight. ends(p) maps an array of positions to two
+    arrays of slots a < b, and ids[a] is slot a's vertex id. ids is sorted,
+    so the (w, a, b) order is the (w, u, v) order. live, a boolean mask over
+    w when given, marks the candidates; the other positions take no part.
     """
-    el = candidates if isinstance(candidates, EdgeList) else EdgeList(*zip(*candidates))
+
+    w: np.ndarray
+    ends: Callable
+    ids: np.ndarray
+    live: np.ndarray | None = None
+
+
+_CHUNK = 1 << 14  # positions whose ends the filter looks up at once; bounds its temporaries
+
+
+def kruskal(
+    candidates: EdgeList | Sequence[EdgeList] | Pairs | Iterable[tuple], n: int | None = None
+) -> EdgeList:
+    """Minimum spanning forest of the candidates under the total order, by Filter-Kruskal.
+
+    candidates is an EdgeList, a sequence of EdgeLists whose union is the
+    candidate multiset (their arrays are read as they are, neither checked
+    nor sorted again), Pairs, or (u, v, w) tuples; n, when given, only
+    bounds the ids of edge lists and tuples.
+
+    Filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009) sorts only what
+    it scans. Each round takes the s lightest live candidates by
+    np.partition, with every tie of the s-th included, so copies of an edge
+    are never split, where s = max(2 x components, 2 x the previous s). It
+    sorts them by (w, a, b) and scans them with the union-find, up to the
+    last tree edge. Then it drops every heavier candidate whose ends share a
+    root, found by pointer jumping over the parent array. s at least doubles
+    each round, so there are O(log E) rounds.
+    """
+    if not isinstance(candidates, Pairs):
+        candidates = _pairs(candidates, n)
+    w, ends, ids, live = candidates
+    live = np.ones(w.size, dtype=bool) if live is None else live.copy()
+    r = ids.size
+    parent, out, s = list(range(r)), [], 0
+    while len(out) < r - 1 and live.any():
+        lw = w[live]
+        s = max(2 * (r - len(out)), 2 * s)
+        last = s >= lw.size
+        if not last:
+            lw.partition(s - 1)
+        pivot = np.inf if last else lw[s - 1]
+        del lw  # so that no two rounds' copies of the live weights coexist
+        light = np.flatnonzero(live & (w <= pivot))
+        live[light] = False
+        a, b = ends(light)
+        order = np.lexsort((b, a, w[light]))
+        light, a, b = light[order], a[order], b[order]
+        new = np.ones(light.size, dtype=bool)  # a pair with the ends of the one before closes a cycle
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        _unite(parent, zip(light[new].tolist(), a[new].tolist(), b[new].tolist()), out, r - 1)
+        if last or len(out) == r - 1:
+            break
+        root = np.array(parent)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        for c in range(0, w.size, _CHUNK):
+            at = np.flatnonzero(live[c : c + _CHUNK]) + c
+            a, b = ends(at)
+            live[at[root[a] == root[b]]] = False
+    at = np.array([i for i, _, _ in out], dtype=np.int64)
+    a, b = ends(at)
+    return EdgeList(ids[a], ids[b], w[at])
+
+
+def _pairs(candidates, n: int | None) -> Pairs:
+    """The Pairs of an EdgeList, a sequence of them or (u, v, w) tuples; ids compacted."""
+    lists = [candidates] if isinstance(candidates, EdgeList) else list(candidates)
+    if not lists or not all(isinstance(el, EdgeList) for el in lists):
+        lists = [EdgeList(*zip(*lists))]
     if n is not None:
-        el.check_range(n)
-    u, v, w = el.u, el.v, el.w
-    copy = (u[1:] == u[:-1]) & (v[1:] == v[:-1]) & (w[1:] == w[:-1])
-    if copy.any():
-        first = np.flatnonzero(np.concatenate(([True], ~copy)))
-        keep = first[[i for i, _, _ in merges(u[first], v[first])]]
-    else:  # no copies, as in the oracle's pairs: nothing to drop, and nothing copied
-        keep = [i for i, _, _ in merges(u, v)]
-    return EdgeList(u[keep], v[keep], w[keep])
+        for el in lists:
+            el.check_range(n)
+    u, v, w = (np.concatenate(arrays) for arrays in zip(*((el.u, el.v, el.w) for el in lists)))
+    ids, a, b = _compact(u, v)
+    return Pairs(w, lambda at: (a[at], b[at]), ids)

@@ -1,9 +1,11 @@
-"""Brute-force ground truth: materialize every pair, then Kruskal.
+"""Brute-force ground truth: the weight of every pair, then Kruskal.
 
 Deliberately a different algorithm from the dense kernel (which is Prim and
 never stores the candidate edges), sharing only the edge total order, so
-agreement between the two is evidence rather than tautology. Being slow is
-fine here; a cap guards against accidentally materializing huge graphs.
+agreement between the two is evidence rather than tautology. The pairs are
+materialized as one float64 weight each in row order; Filter-Kruskal finds
+the ends of only the candidates it touches, so the oracle peaks at about
+20 bytes per pair. A cap guards against materializing huge graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, subset_indices
-from .graph import EdgeList, kruskal, merges
+from .graph import EdgeList, Pairs, kruskal, merges
 
 DEFAULT_MAX_POINTS = 2048
 
@@ -41,8 +43,12 @@ def oracle_mst(
 def _finite_forest(points: PointSet, metric: Metric, subset, max_points: int):
     """MSF of the finite-distance pairs of points[subset], the ids, and the other pairs.
 
-    The overflowing pairs come back as (u, v, w) arrays with u < v, in (u, v)
-    order.
+    Only the weights of the pairs are stored, row block by row block in one
+    array: the subset is put in id order, and row a's block holds the pairs
+    (a, a+1..m-1), so a position's ends come from the row offsets and (w, a,
+    b) is the (w, u, v) order. kruskal looks up the ends only of the
+    candidates a round touches. The overflowing pairs come back as (u, v, w)
+    arrays with u < v, in (u, v) order.
     """
     idx = subset_indices(points, subset)
     m = int(idx.size)
@@ -50,19 +56,27 @@ def _finite_forest(points: PointSet, metric: Metric, subset, max_points: int):
         raise UsageError(
             f"oracle refuses {m} points (cap {max_points}); pass max_points to override"
         )
-    gid = points.ids[idx]
     if m <= 1:
-        return EdgeList(), gid, ()
+        return EdgeList(), points.ids[idx], ()
     metric.check_domain(points, idx)
+    idx = idx[np.argsort(points.ids[idx])]
+    gid = points.ids[idx]
     mat = metric.prepared(points)[idx]
-    w = np.concatenate([metric.block(mat[a], mat[a + 1 :]) for a in range(m - 1)])
-    iu, iv = np.triu_indices(m, 1)  # row a's block holds the pairs (a, a+1..m-1)
-    u, v = gid[iu], gid[iv]
-    ok = np.isfinite(w)
-    bad = ~ok
-    lo, hi = np.minimum(u[bad], v[bad]), np.maximum(u[bad], v[bad])
-    order = np.lexsort((hi, lo))
-    return kruskal(EdgeList(u[ok], v[ok], w[ok])), gid, (lo[order], hi[order], w[bad][order])
+    start = np.zeros(m, dtype=np.int64)  # start[a]: position of the pair (a, a+1); start[-1]: E
+    np.cumsum(np.arange(m - 1, 0, -1), out=start[1:])
+    w = np.empty(start[-1])
+    for a in range(m - 1):
+        w[start[a] : start[a + 1]] = metric.block(mat[a], mat[a + 1 :])
+
+    def ends(at):
+        a = np.searchsorted(start, at, side="right") - 1
+        return a, at - start[a] + a + 1
+
+    finite = np.isfinite(w)
+    forest = kruskal(Pairs(w, ends, gid, finite))
+    over = np.flatnonzero(~finite)
+    a, b = ends(over)
+    return forest, gid, (gid[a], gid[b], w[over])
 
 
 def check_substructure(

@@ -178,6 +178,12 @@ def test_pointset_refuses_ids_beyond_int64():
     assert PointSet(np.zeros((2, 2)), ids=big).ids.tolist() == [0, 2**63 - 1]
 
 
+def test_pointset_names_an_id_list_value_beyond_int64():
+    # np.asarray reads [0, 2**63] as float64, so the list itself is searched
+    with pytest.raises(UsageError, match=r"ids must be at most 2\*\*63 - 1, got 9223372036854775808$"):
+        PointSet(np.zeros((2, 2)), ids=[0, 2**63])
+
+
 def test_empty_pointset_is_allowed():
     pts = PointSet(np.empty((0, 3)))
     assert pts.count == 0 and pts.dim == 3

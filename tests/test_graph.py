@@ -1,6 +1,7 @@
 """Edge order, the union history and Kruskal: pinned cases, oracles, properties."""
 
 from collections import defaultdict
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -227,11 +228,53 @@ def test_early_exit_kruskal_equals_a_full_scan_and_stops_at_the_last_tree_edge(e
         got = kruskal(el)
     kept, positions = _full_scan(el)
     assert [(e.w, e.u, e.v) for e in got] == kept
-    spans = len(kept) == len(set(el.u.tolist()) | set(el.v.tolist())) - 1
-    # two root lookups per scanned pair; a copy of the edge before it is not scanned
-    triples = list(el.triples())
-    new = [i == 0 or e != triples[i - 1] for i, e in enumerate(triples)]
-    assert root.call_count == 2 * sum(new[: positions[-1] + 1] if spans and kept else new)
+    # two root lookups per scanned pair, on its compacted ends, which follow the ids' order
+    ids = sorted(set(el.u.tolist()) | set(el.v.tolist()))
+    looked_up = [ids[c.args[1]] for c in root.call_args_list]
+    scanned = list(zip(looked_up[::2], looked_up[1::2]))
+    spans = len(kept) == len(ids) - 1
+    # the scan visits candidates in (w, u, v) order, filtered ones left out, and never
+    # one after the last tree edge
+    ends = list(zip(el.u.tolist(), el.v.tolist()))
+    candidates = iter(ends[: positions[-1] + 1] if spans and kept else ends)
+    assert all(pair in candidates for pair in scanned)
+    assert len(scanned) >= len(kept)
+
+
+@st.composite
+def filter_cases(draw):
+    """(u, v, w) tuples in any order over sparse or huge ids, with many ties and copies; and the ids."""
+    ids = sorted(
+        draw(st.lists(st.integers(0, 20) | st.integers(2**62, 2**63 - 1), min_size=2, max_size=14, unique=True))
+    )
+    weights = draw(st.sampled_from([[1.0], [1.0, 2.0], [0.5, 1.0, 1.0, 2.0, 3.25, 7.0]]))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(weights))
+    edges = draw(st.lists(pair.filter(lambda t: t[0] != t[1]), max_size=60))
+    if edges:  # copies of an edge, which sit next to each other in (w, u, v) order
+        edges += [edges[i] for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=10))]
+    return draw(st.permutations(edges)), ids
+
+
+@given(case=filter_cases(), cut=st.integers(min_value=0, max_value=70))
+def test_filter_kruskal_matches_scan_prim(case, cut):
+    # Up to 14 ids give a first round of at most 28 candidates, so most cases
+    # take several rounds; few ids over many pairs leave some disconnected.
+    edges, ids = case
+    slot = {x: i for i, x in enumerate(ids)}  # in id order, so prim's tie-break is the same
+    dense = prim_msf([(slot[u], slot[v], w) for u, v, w in edges], len(ids))
+    expected = [(w, ids[a], ids[b]) for w, a, b in dense]
+    assert keys(kruskal(edges)) == expected
+    parts = [EdgeList(*zip(*edges[:cut])), EdgeList(*zip(*edges[cut:]))]  # the union of two lists
+    assert keys(kruskal(parts)) == expected
+
+
+def test_filter_kruskal_never_splits_a_tie_at_the_pivot():
+    # Ten equal pairs among 1..5, then the star from 0, as two lists: the
+    # first round's share of 12 cuts through the star's ties, and every one
+    # of them must still be scanned before (1, 3), which comes later in order.
+    rest = EdgeList(*zip(*[(a, b, 1.0) for a, b in combinations(range(1, 6), 2)]))
+    star = EdgeList([0] * 5, range(1, 6), [1.0] * 5)
+    assert keys(kruskal([rest, star])) == [(1.0, 0, b) for b in range(1, 6)]
 
 
 def test_edgelist_sorted_and_total_weight():
@@ -273,6 +316,14 @@ def test_edgelist_refuses_endpoints_beyond_int64():
             EdgeList(big, [1], [1.0])
     edges = EdgeList(np.array([2**63 - 1], dtype=np.uint64), [1], [1.0])
     assert (edges.u.tolist(), edges.v.tolist()) == ([1], [2**63 - 1])
+
+
+def test_edgelist_names_an_endpoint_list_value_beyond_int64():
+    # np.asarray reads [2**64] as an object array, so the list itself is searched
+    with pytest.raises(UsageError, match=r"edge endpoints must be at most 2\*\*63 - 1, got 18446744073709551616$"):
+        EdgeList([2**64], [1], [1.0])
+    with pytest.raises(UsageError, match=r"edge endpoints must be at least -2\*\*63, got -18446744073709551616$"):
+        EdgeList([0], [-(2**64)], [1.0])
 
 
 def test_concat_keeps_every_edge_in_order():

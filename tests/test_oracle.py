@@ -1,6 +1,9 @@
 """Brute-force oracle and the subset-containment property it certifies."""
 
+import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from geomst import (
     check_substructure,
     dense_mst,
     generate_instance,
+    graph,
     oracle_mst,
 )
 
@@ -100,6 +104,33 @@ def test_restriction_of_whole_tree_lies_inside_induced_tree():
     assert restricted, "subset too scattered to exercise the property"
     for e in restricted:
         assert (e.w, e.u, e.v) in induced
+
+
+def test_all_pairs_cost_at_most_48_bytes_each():
+    # The oracle keeps one weight per pair; ends are looked up per round.
+    pts = generate_instance(5, 1000, 16, "clustered(5)")
+    m = Metric("manhattan")
+    tracemalloc.start()
+    try:
+        oracle_mst(pts, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * (1000 * 999 // 2)
+
+
+def test_far_outliers_take_a_logarithmic_number_of_rounds():
+    # Every outlier is about 80 from the tight cluster and 113 from the other
+    # outliers, so its 1248 cluster pairs come before any of the next
+    # outlier's: a light share of 2 x components would merge one outlier a
+    # round, 800 rounds; a share that at least doubles needs log2(E / 2m) + 2.
+    rng = np.random.default_rng(0)
+    pts = PointSet(np.vstack([rng.normal(size=(1248, 64)) * 1e-3, rng.normal(size=(800, 64)) * 10]))
+    with mock.patch.object(graph, "_unite", side_effect=graph._unite) as rounds:
+        tree = oracle_mst(pts, Metric("euclidean"))
+    m = pts.count
+    assert len(tree) == m - 1
+    assert rounds.call_count <= math.log2(m * (m - 1) / 2 / (2 * m)) + 2
 
 
 def test_overflowing_pair_the_tree_does_not_need_is_left_out():
