@@ -94,7 +94,7 @@ def _add_compute_flags(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive,
         default=None,
-        help="worker processes (default: all usable cores)",
+        help="most worker processes (default: all usable cores); a run forks only as many as its work repays",
     )
     p.add_argument("--output", default=None, metavar="PATH", help="edge TSV (default: stdout)")
     p.add_argument("--stats", default=None, metavar="PATH", help="write run counters as key=value")
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive,
         default=None,
-        help="worker processes (default: all usable cores)",
+        help="most worker processes (default: all usable cores); a run forks only as many as its work repays",
     )
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--output", default=None, metavar="PATH", help="TSV table (default: stdout)")

@@ -26,6 +26,10 @@ whatever order the shares finish in. With one worker, as with
 one block or where os.fork does not exist, the same runner forks nothing
 and solves the single share in this process. It needs neither
 multiprocessing nor a `__main__` guard.
+
+A fork costs CPU time of its own, so a run forks only as many processes
+as its tasks' work repays (_processes); the measurements behind the rule
+are beside its constants.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import os
 import pickle
 import signal
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,28 @@ from .stats import RunStats
 
 MERGE_STRATEGIES = ("gather", "reduce")
 PARTITION_STRATEGIES = ("contiguous", "shuffled")
+
+# Estimated one-process CPU seconds of task work. The costs were fitted by
+# least squares on relative error to the one-process CPU time of 60 task
+# lists (tasks of 64 to 1500 points, d = 2 to 768, euclidean and manhattan,
+# one BLAS thread, 2-vCPU x86_64); every estimate fell within 0.49 to 1.63
+# of its measurement, the small tasks, whose fixed costs the terms leave
+# out, lowest.
+_STEP_S = 10.2e-6  # per Prim step; a lockstep group steps once for all its tasks
+_BOUNDED_STEP_S = 18.9e-6  # per step of a task whose steps are bounded
+_COORD_S = 4.56e-9  # per coordinate of an evaluated pair, and one more for its update
+_GRAM_S = 5.23e-11  # per multiply-add of a bounded task's m * m * d dot products
+# Each process of a run must get this much of the estimate, or it forks
+# fewer. A fork costs about 10 ms of CPU (n = 128, d = 16 manhattan, k = 4:
+# 4.4 ms with one worker, 14.4 ms with two, same host). With both vCPUs
+# running, two processes beat one from an estimate of 24-41 ms (n = 600, k = 4 at
+# d = 16 manhattan, 64 and 256); at d = 2, where a split lockstep group
+# pays its per-step cost twice, they lost up to 94 ms (n = 2500, k = 8),
+# and when the second vCPU gave no throughput they lost everywhere. 30 ms
+# keeps n = 400, d = 768, k = 4 (32 ms estimated; 30.0 ms with one worker,
+# 44.6 ms with two) in this process and forks n = 3000, d = 2, k = 8
+# (115 ms estimated).
+_FORK_MIN_S = 0.030
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +159,11 @@ def decomposed_mst(
     raises, for every valid partition, merge strategy and worker count; the
     RunStats tell the merge strategies apart. There is one task per block
     pair, or a single block as the one task. workers defaults to
-    usable_cores() and is capped at the task count, and at 1 where os.fork
-    does not exist; this process solves every w-th task and w - 1 forked
-    children the rest, all reaped before return. stats.workers is w.
+    usable_cores() and is an upper bound: it is capped at the task count, at
+    the processes the tasks' estimated work repays (_processes), and at 1
+    where os.fork does not exist. This process solves every w-th task and
+    w - 1 forked children the rest, all reaped before return; with w = 1
+    nothing is forked. stats.workers is w.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -152,7 +181,7 @@ def decomposed_mst(
 
     blocks = part.blocks
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
-    workers = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    workers = _processes(tasks, metric, points.dim, workers) if hasattr(os, "fork") else 1
     if points.count > 1:
         # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
         metric.check_domain(points)
@@ -184,6 +213,27 @@ def decomposed_mst(
 
     stats.wall_time = time.perf_counter() - started
     return tree, stats
+
+
+def _processes(tasks, metric: Metric, dim: int, workers: int) -> int:
+    """The processes, at most workers and one per task, that each get _FORK_MIN_S of estimated work.
+
+    The estimate is the tasks' CPU time in one process: a group of tasks of
+    one size steps once if unbounded (dense_mst alone or lockstep) and
+    evaluates every pair; a bounded task steps alone and its bound costs about
+    a Gram's multiply-adds.
+    """
+    bounded = has_step_bound(metric, dim)
+    seconds = 0.0
+    for m, count in Counter(t.size for t in tasks).items():
+        if bounded:
+            seconds += count * ((m - 1) * _BOUNDED_STEP_S + m * m * dim * _GRAM_S)
+        else:
+            seconds += (m - 1) * _STEP_S + count * m * (m - 1) // 2 * (dim + 1) * _COORD_S
+    w = min(workers, len(tasks))
+    while w > 1 and seconds < w * _FORK_MIN_S:
+        w -= 1
+    return w
 
 
 def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:

@@ -10,7 +10,10 @@ then n*d IEEE-754 doubles row-major.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
+import warnings
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .stats import RunStats
 POINT_FORMATS = ("csv", "vecbin")
 _MAGIC = b"VEC1"
 _HEADER = struct.Struct("<4sQQ")
+# _read_csv scans a csv this many bytes at a time.
+_CHUNK = 1 << 18
 
 
 def detect_format(path) -> str:
@@ -56,27 +61,59 @@ def read_points(path, format: str | None = None) -> PointSet:
 
 
 def _read_csv(path) -> PointSet:
-    """Parse with numpy's C reader, falling back to _parse_rows wherever they could differ.
+    """Parse with numpy's C reader where it must agree with _parse_rows, and with _parse_rows elsewhere.
 
     Both convert a field with the same routine as float(), so they agree
     bit for bit where both accept. loadtxt refuses underscores and
     non-ASCII digits, which float() accepts, and skips empty lines, which
-    the row parser refuses: so an empty line, any loadtxt error or a row
-    count other than the line count hands the text to the row parser, the
-    reference for what is accepted and for every error message.
+    the row parser refuses. So loadtxt reads only a regular file of
+    printable ASCII lines, straight from the file, and only if it gives one
+    row per line; every other file, and any loadtxt error, goes to the row
+    parser, the reference for what is accepted and for every error message.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise DataError(f"{path}: empty csv, cannot infer dimension")
     coords = None
-    if "" not in lines:
-        try:
-            coords = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if coords is None or coords.shape[0] != len(lines):
+    rows = _plain_line_count(path)
+    if rows:
+        # An open file: np.loadtxt of a path goes through numpy's DataSource,
+        # which decompresses by file name and fetches URL-like names.
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            # A file of empty lines gives no rows, and the row parser's error.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                coords = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+    if coords is None or coords.shape[0] != rows:
+        lines = _read_lines(path)
+        if not lines:
+            raise DataError(f"{path}: empty csv, cannot infer dimension")
         coords = _parse_rows(path, lines)
     return PointSet(coords)
+
+
+def _plain_line_count(path) -> int | None:
+    """The line count of a regular file of printable ASCII and "\\n" or "\\r\\n" breaks; None for any other file.
+
+    One scan, _CHUNK bytes at a time; a pipe is left unread for the one read
+    the row parser makes. Text mode and str.splitlines split such a file at
+    the same places, and a last line without a break counts.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # so a "\r\n" is never split
+            b = np.frombuffer(chunk, dtype=np.uint8)
+            breaks = np.count_nonzero(b == 10)
+            crlf = chunk.count(b"\r\n") if b"\r" in chunk else 0
+            # Every control byte must be a "\n" or the "\r" of a "\r\n".
+            if b.max() > 126 or np.count_nonzero(b < 32) != breaks + crlf:
+                return None
+            lines += int(breaks)
+            last = chunk[-1:]
+    return lines + (last != b"\n")
 
 
 def _read_lines(path) -> list[str]:

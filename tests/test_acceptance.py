@@ -228,7 +228,7 @@ def test_criterion_5_merge_strategies_byte_identical(equivalence_matrix):
     )
 
 
-def test_criterion_6_output_independent_of_worker_count():
+def test_criterion_6_output_independent_of_worker_count(forking):
     cpu = os.cpu_count() or 1
     worker_choices = sorted({1, 4, cpu})
     diffs = 0
@@ -324,11 +324,12 @@ def speedup_bar(tasks: int, cores: int) -> float:
 @pytest.mark.skipif(usable_cores() < 2, reason="a parallel speedup needs 2 usable cores")
 def test_criterion_8b_parallel_speedup_exceeds_two(desk_scale_run):
     # Criterion 8a's run is the warm-up. Serial and parallel runs then
-    # alternate, so host drift hits both sides of each pair alike.
+    # alternate, so host drift hits both sides of each pair alike, and the
+    # median of five pairs outlasts two pairs that drift spoils.
     r = desk_scale_run
     points, metric, part = r["problem"]
     ratios = []
-    for _ in range(3):
+    for _ in range(5):
         _, serial = decomposed_mst(points, metric, part, "gather", 1)
         _, parallel = decomposed_mst(points, metric, part, "gather", r["workers"])
         ratios.append(serial.wall_time / parallel.wall_time)

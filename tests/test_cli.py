@@ -201,7 +201,7 @@ def test_stats_file_reports_run_counters(points_csv, tmp_path, capsys):
     ],
 )
 def test_default_partitions_are_ceil_sqrt_two_workers(
-    square_csv, tmp_path, capsys, workers, k, tasks
+    square_csv, tmp_path, capsys, workers, k, tasks, forking
 ):
     dest = tmp_path / "stats.txt"
     argv = ["mst", "--input", square_csv, "--workers", workers, "--stats", str(dest)]

@@ -294,7 +294,7 @@ def test_merge_strategies_are_byte_identical():
     assert format_edges(a) == format_edges(b)
 
 
-def test_workers_do_not_change_the_answer():
+def test_workers_do_not_change_the_answer(forking):
     # 66 points in 6 blocks give tasks of one size; 70 give sizes 22, 23 and
     # 24, which each worker count batches differently.
     for n in (66, 70):
@@ -342,7 +342,7 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_stats_count_the_processes_that_solved_tasks(workers):
+def test_stats_count_the_processes_that_solved_tasks(workers, forking):
     pts, m, part = _three_tasks()
     _, stats = decomposed_mst(pts, m, part, "gather", workers)
     assert stats.workers == min(workers, stats.tasks_executed) == min(workers, 3)
@@ -361,7 +361,7 @@ def test_the_cosine_unit_rows_are_computed_once_per_run(monkeypatch):
     assert tree == oracle_mst(pts, Metric("cosine_distance"))
 
 
-def test_worker_errors_come_through_unchanged():
+def test_worker_errors_come_through_unchanged(forking):
     coords = generate_instance(15, 30, 3, "gaussian").coords.copy()
     coords[17] = 0.0  # in the middle block, so two of the three tasks meet it
     pts = PointSet(coords)
@@ -395,7 +395,7 @@ def _three_tasks():
     return generate_instance(4, 30, 3, "gaussian"), Metric("euclidean"), make_partition(30, 3)
 
 
-def test_an_error_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
+def test_an_error_in_the_parents_own_share_still_reaps_every_child(monkeypatch, forking):
     # Task 0 is the parent's own; the children would sleep for a minute.
     _failing_tasks(monkeypatch, parent_fails=[(0, 1)], child_sleeps=60.0)
     pts, m, part = _three_tasks()
@@ -406,7 +406,7 @@ def test_an_error_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
     assert no_child_processes()
 
 
-def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypatch):
+def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypatch, forking):
     _failing_tasks(monkeypatch, parent_fails=[(0, 1)], child_sleeps=60.0, exc=KeyboardInterrupt)
     pts, m, part = _three_tasks()
     started = time.perf_counter()
@@ -416,7 +416,7 @@ def test_an_interrupt_in_the_parents_own_share_still_reaps_every_child(monkeypat
     assert no_child_processes()
 
 
-def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monkeypatch):
+def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monkeypatch, forking):
     # Two workers: the child solves task 1, whose batch raises; the parent's
     # own share finishes, then raises what the child pickled.
     _failing_tasks(monkeypatch, child_fails=[(0, 2)])
@@ -442,7 +442,7 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_overflows_inside_a_lockstep_batch_give_the_oracles_outcome(workers):
+def test_overflows_inside_a_lockstep_batch_give_the_oracles_outcome(workers, forking):
     # Manhattan distances between 1-D points of opposite sign at least
     # 0.9e308 from 0 overflow. Blocks 2 to 4 hold such points, so the trees
     # of tasks (2, 3), (2, 4) and (3, 4) would need an overflowing edge: at
@@ -464,7 +464,7 @@ def test_overflows_inside_a_lockstep_batch_give_the_oracles_outcome(workers):
 
 @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy):
+def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy, forking):
     # Zero rows 25 and 33 sit in different blocks. Every partition names the
     # first zero row in index order, as the oracle does; the shuffled one
     # meets row 33 first in task order.
@@ -482,7 +482,7 @@ def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy):
     assert no_child_processes()
 
 
-def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch):
+def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch, forking):
     parent = os.getpid()
     solve = decompose._solve_batch
 
@@ -541,7 +541,7 @@ def test_one_worker_forks_nothing(monkeypatch):
     assert stats.tasks_executed == 3
 
 
-def test_without_fork_the_tasks_run_in_this_process(monkeypatch):
+def test_without_fork_the_tasks_run_in_this_process(monkeypatch, forking):
     pts, m, part = _three_tasks()
     forked, forked_stats = decomposed_mst(pts, m, part, "reduce", 3)
     monkeypatch.delattr(os, "fork")
@@ -551,10 +551,73 @@ def test_without_fork_the_tasks_run_in_this_process(monkeypatch):
     assert stats.combine_input_sizes == forked_stats.combine_input_sizes
 
 
+def _counters(stats):
+    return stats.distance_evals, stats.edges_gathered, stats.tasks_executed, stats.combine_input_sizes
+
+
+@pytest.mark.parametrize("merge", MERGE_STRATEGIES)
+def test_a_run_below_the_fork_threshold_forks_nothing(monkeypatch, merge):
+    # verify_oracle's input: six tasks of 200 points, about 11 ms of estimated work
+    pts = generate_instance(9, 400, 16, "clustered(5)")
+    m = Metric("manhattan")
+    part = make_partition(400, 4)
+    tree, one = decomposed_mst(pts, m, part, merge, 1)
+    _forbid_fork(monkeypatch)
+    for workers in (2, 3):
+        got, stats = decomposed_mst(pts, m, part, merge, workers)
+        assert format_edges(got) == format_edges(tree)
+        assert _counters(stats) == _counters(one)
+        assert stats.workers == 1
+
+
+def test_a_run_above_the_fork_threshold_still_forks(monkeypatch):
+    # lowd_mst's input: 28 tasks of 750 points, about 115 ms of estimated work
+    pts = generate_instance(9, 3000, 2, "uniform_cube")
+    m = Metric("euclidean")
+    part = make_partition(3000, 8)
+    tree, one = decomposed_mst(pts, m, part, "gather", 1)
+    fork = os.fork
+    forked = []
+
+    def counted():
+        pid = fork()
+        forked.append(pid)  # only this process returns here: the child ends in os._exit
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    got, stats = decomposed_mst(pts, m, part, "gather", 2)
+    assert len(forked) == 1 and stats.workers == 2
+    assert format_edges(got) == format_edges(tree)
+    assert _counters(stats) == _counters(one)
+    assert no_child_processes()
+
+
+@pytest.mark.parametrize(
+    "n, d, name, k, processes",
+    [
+        (128, 16, "manhattan", 4, 1),
+        (400, 16, "manhattan", 4, 1),  # verify_oracle
+        (1000, 2, "euclidean", 4, 1),
+        (400, 768, "euclidean", 4, 1),
+        (3000, 2, "euclidean", 8, 2),  # lowd_mst
+        (1500, 256, "euclidean", 4, 2),  # highd_dendrogram
+        (10000, 64, "euclidean", 4, 2),  # acceptance criterion 8
+    ],
+)
+def test_two_workers_fork_only_where_the_estimated_work_repays_it(n, d, name, k, processes):
+    # The runs kept in one process measured slower with two; the forked
+    # ones measured faster with two while both vCPUs ran (2-vCPU x86_64).
+    tasks = [np.concatenate(pair) for pair in combinations(make_partition(n, k).blocks, 2)]
+    assert decompose._processes(tasks, Metric(name), d, 2) == processes
+    assert decompose._processes(tasks, Metric(name), d, 1) == 1
+
+
 def test_two_workers_leave_multiprocessing_unimported():
     script = (
         "import sys\n"
+        "import geomst.decompose\n"
         "from geomst import Metric, decomposed_mst, generate_instance, make_partition\n"
+        "geomst.decompose._FORK_MIN_S = 0.0  # fork however small the tasks\n"
         "pts = generate_instance(5, 40, 3, 'gaussian')\n"
         "decomposed_mst(pts, Metric('euclidean'), make_partition(40, 3), 'gather', 2)\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"

@@ -1,6 +1,9 @@
 """File formats: pinned bytes, structural error reporting, exact round-trips."""
 
+import os
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from geomst import (
     write_points,
     write_stats,
 )
+import geomst.io as io_module
 from geomst.io import _parse_rows
 from geomst.stats import RunStats
 
@@ -262,6 +266,83 @@ def test_csv_reads_hard_decimals_as_float_does(tmp_path):
     want = np.array([[float(x)] * 2 for x in HARD_DECIMALS])
     assert got.tobytes() == want.tobytes()
     assert _same(got, _row_parser_outcome(path))
+
+
+@given(text=csv_noise | csv_grids, chunk=st.integers(min_value=1, max_value=8))
+def test_csv_reader_equals_the_row_parser_at_any_chunk_size(text, chunk, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_module, "_CHUNK", chunk)
+        assert _same(_outcome(path), _row_parser_outcome(path)), repr(text)
+
+
+def _split_refused(monkeypatch):
+    def refuse(path):
+        raise AssertionError("the csv was decoded and split into lines")
+
+    monkeypatch.setattr(io_module, "_read_lines", refuse)
+
+
+@pytest.mark.parametrize("brk, ending", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n")])
+def test_a_plain_csv_longer_than_a_chunk_is_read_from_the_file(brk, ending, tmp_path, monkeypatch):
+    monkeypatch.setattr(io_module, "_CHUNK", 16)
+    path = tmp_path / "long.csv"
+    path.write_bytes((brk.join(f"{i},{i / 7!r},-{i}e-3" for i in range(40)) + ending).encode("ascii"))
+    want = _row_parser_outcome(path)
+    assert io_module._plain_line_count(path) == 40
+    _split_refused(monkeypatch)
+    assert _same(_outcome(path), want) and want.shape == (40, 3)
+
+
+def test_a_crlf_across_a_chunk_boundary_is_one_break(tmp_path, monkeypatch):
+    monkeypatch.setattr(io_module, "_CHUNK", 16)
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"1.0,2.0,3.00000\r\n4,5,6\r\n")  # "\r" ends chunk 0, "\n" starts chunk 1
+    assert io_module._plain_line_count(path) == 2
+    _split_refused(monkeypatch)
+    assert _same(_outcome(path), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("1.0,2.0,3.00000\n\n4,5,6\n", 1),  # byte 15 ends chunk 0, byte 16 starts chunk 1
+        ("1,2,3\n4,5,6\n\n\n7,8,9", 2),  # inside a chunk
+        ("\n1,2,3\n", 0),  # the first line
+        ("\n\n", 0),  # every line
+    ],
+)
+def test_an_empty_line_gets_the_row_parsers_error_across_chunks(text, row, tmp_path, monkeypatch):
+    monkeypatch.setattr(io_module, "_CHUNK", 16)
+    path = tmp_path / "gap.csv"
+    path.write_text(text, encoding="ascii")
+    # The scan counts the empty line; loadtxt skips it, so its row count falls short.
+    assert io_module._plain_line_count(path) == len(text.splitlines())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(path)
+    assert got == _row_parser_outcome(path) and f"row {row} " in got
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_csv_from_a_pipe_is_read_once(tmp_path):
+    data = "".join(f"{i},{i / 7!r}\n" for i in range(5000)).encode("ascii")  # more than a pipe buffer
+    (tmp_path / "pts.csv").write_bytes(data)
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = read_points(f"/dev/fd/{r}", "csv")
+    finally:
+        writer.join()
+        os.close(r)
+    assert got.coords.tobytes() == read_points(tmp_path / "pts.csv").coords.tobytes()
 
 
 @pytest.mark.parametrize(
