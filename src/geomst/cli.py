@@ -180,16 +180,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _maybe_write_stats(args, stats, points, k) -> None:
     if args.stats is not None:
-        write_stats(
-            stats,
-            args.stats,
-            n=points.count,
-            d=points.dim,
-            k=k,
-            metric=args.metric,
-            workers=stats.workers,
-            seed=args.seed,
-        )
+        write_stats(stats, args.stats, n=points.count, d=points.dim, k=k, metric=args.metric, seed=args.seed)
 
 
 def cmd_mst(args) -> int:

@@ -15,11 +15,10 @@ distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
 parallel too, not only the numpy arithmetic that releases the GIL. The
 calling process solves one share of the tasks itself and forks one child
-per other share. A share hands out its tasks in groups of one size: a
-group of two or more runs in lockstep (dense.lockstep_mst), one step for
-many of them, and a single task, or one whose steps dense_mst bounds, runs
-alone. The children inherit the points and the task list, and each
-returns its task forests as pickled EdgeLists, or the exception its
+per other share. A share solves tasks whose steps dense_mst bounds one by
+one, and the others in one dense.lockstep_mst call per task size, one step
+for many of them. The children inherit the points and the task list, and
+each returns its task forests as pickled EdgeLists, or the exception its
 share raised with the child's traceback, over a pipe; an EdgeList
 unpickles through its constructor. The forests are merged in task order
 whatever order the shares finish in. With one worker, as with
@@ -158,12 +157,12 @@ def decomposed_mst(
     Returns the edge set oracle_mst returns, or raises the DataError it
     raises, for every valid partition, merge strategy and worker count; the
     RunStats tell the merge strategies apart. There is one task per block
-    pair, or a single block as the one task. workers defaults to
-    usable_cores() and is an upper bound: it is capped at the task count, at
-    the processes the tasks' estimated work repays (_processes), and at 1
-    where os.fork does not exist. This process solves every w-th task and
-    w - 1 forked children the rest, all reaped before return; with w = 1
-    nothing is forked. stats.workers is w.
+    pair, or a single block as the one task. workers, a positive int or
+    numpy integer, defaults to usable_cores() and is an upper bound: it is
+    capped at the task count, at the processes the tasks' estimated work
+    repays (_processes), and at 1 where os.fork does not exist. This process
+    solves every w-th task and w - 1 forked children the rest, all reaped
+    before return; with w = 1 nothing is forked. stats.workers is w, an int.
     """
     if merge not in MERGE_STRATEGIES:
         raise UsageError(f"unknown merge strategy {merge!r}")
@@ -173,15 +172,15 @@ def decomposed_mst(
         )
     if workers is None:
         workers = usable_cores()
-    if workers < 1:
-        raise UsageError("workers must be at least 1")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise UsageError("workers must be a positive integer")
 
     stats = RunStats(merge_strategy=merge)
     started = time.perf_counter()
 
     blocks = part.blocks
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
-    workers = _processes(tasks, metric, points.dim, workers) if hasattr(os, "fork") else 1
+    workers = _processes(tasks, metric, points.dim, int(workers)) if hasattr(os, "fork") else 1
     if points.count > 1:
         # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
         metric.check_domain(points)
@@ -236,17 +235,6 @@ def _processes(tasks, metric: Metric, dim: int, workers: int) -> int:
     return w
 
 
-def _solve_batch(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
-    """The forest of each task of one size, in order.
-
-    dense_mst solves them one by one when there is one task or their steps
-    are bounded; otherwise they run in lockstep.
-    """
-    if len(subsets) == 1 or has_step_bound(metric, points.dim):
-        return [dense_mst(points, metric, subset=subset) for subset in subsets]
-    return lockstep_mst(points, metric, subsets)
-
-
 def _solve_forked(points, metric, tasks, workers) -> list[EdgeList]:
     """Every task's result, in task order, from this process and workers - 1 forked children.
 
@@ -286,16 +274,19 @@ def _solve_forked(points, metric, tasks, workers) -> list[EdgeList]:
 def _solve_share(points, metric, tasks, s: int, workers: int) -> list[EdgeList]:
     """Results of tasks s, s + workers, ... in order.
 
-    The share hands out its tasks in one batch per size, the sizes in the
-    order of their first task.
+    dense_mst solves tasks whose steps it bounds one by one. Otherwise the
+    share makes one lockstep_mst call per task size, the sizes in the order
+    of their first task; a size with one task reaches dense_mst from there.
     """
     mine = range(s, len(tasks), workers)
+    if has_step_bound(metric, points.dim):
+        return [dense_mst(points, metric, subset=tasks[i]) for i in mine]
     groups: dict = {}
     for i in mine:
         groups.setdefault(len(tasks[i]), []).append(i)
     results = {}
     for group in groups.values():
-        results.update(zip(group, _solve_batch(points, metric, [tasks[i] for i in group])))
+        results.update(zip(group, lockstep_mst(points, metric, [tasks[i] for i in group])))
     return [results[i] for i in mine]
 
 

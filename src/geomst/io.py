@@ -13,7 +13,6 @@ import math
 import os
 import stat
 import struct
-import warnings
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .stats import RunStats
 POINT_FORMATS = ("csv", "vecbin")
 _MAGIC = b"VEC1"
 _HEADER = struct.Struct("<4sQQ")
-# _read_csv scans a csv this many bytes at a time.
-_CHUNK = 1 << 18
+_PRINTABLE = bytes(range(32, 127))
 
 
 def detect_format(path) -> str:
@@ -66,21 +64,30 @@ def _read_csv(path) -> PointSet:
     Both convert a field with the same routine as float(), so they agree
     bit for bit where both accept. loadtxt refuses underscores and
     non-ASCII digits, which float() accepts, and skips empty lines, which
-    the row parser refuses. So loadtxt reads only a regular file of
-    printable ASCII lines, straight from the file, and only if it gives one
-    row per line; every other file, and any loadtxt error, goes to the row
-    parser, the reference for what is accepted and for every error message.
+    the row parser refuses. So loadtxt reads a regular file, opened once,
+    through a stream that raises ValueError at the first line that is not
+    non-empty printable ASCII before a "\\n" or "\\r\\n" break or the end.
+    Every other file (a pipe unread), any loadtxt error and a row count
+    other than the lines passed go to the row parser, the reference for
+    what is accepted and for every error message.
     """
-    coords = None
-    rows = _plain_line_count(path)
-    if rows:
-        # An open file: np.loadtxt of a path goes through numpy's DataSource,
-        # which decompresses by file name and fetches URL-like names.
-        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
-            # A file of empty lines gives no rows, and the row parser's error.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+    coords, rows = None, 0
+
+    def plain_lines(fh):
+        nonlocal rows
+        for line in fh:
+            # What is not printable ASCII in a plain line is its "\n" or "\r\n" at the end, or nothing.
+            brk = line.translate(None, _PRINTABLE)
+            if brk != b"\n" and not (brk in (b"\r\n", b"") and line.endswith(brk)) or len(brk) == len(line):
+                raise ValueError(f"line {rows} is not plain")
+            rows += 1
+            yield line.decode()
+
+    info = os.stat(path)
+    if stat.S_ISREG(info.st_mode) and info.st_size:
+        with open(path, "rb") as fh:
             try:
-                coords = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+                coords = np.loadtxt(plain_lines(fh), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 pass
     if coords is None or coords.shape[0] != rows:
@@ -89,31 +96,6 @@ def _read_csv(path) -> PointSet:
             raise DataError(f"{path}: empty csv, cannot infer dimension")
         coords = _parse_rows(path, lines)
     return PointSet(coords)
-
-
-def _plain_line_count(path) -> int | None:
-    """The line count of a regular file of printable ASCII and "\\n" or "\\r\\n" breaks; None for any other file.
-
-    One scan, _CHUNK bytes at a time; a pipe is left unread for the one read
-    the row parser makes. Text mode and str.splitlines split such a file at
-    the same places, and a last line without a break counts.
-    """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return None
-    lines, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK):
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)  # so a "\r\n" is never split
-            b = np.frombuffer(chunk, dtype=np.uint8)
-            breaks = np.count_nonzero(b == 10)
-            crlf = chunk.count(b"\r\n") if b"\r" in chunk else 0
-            # Every control byte must be a "\n" or the "\r" of a "\r\n".
-            if b.max() > 126 or np.count_nonzero(b < 32) != breaks + crlf:
-                return None
-            lines += int(breaks)
-            last = chunk[-1:]
-    return lines + (last != b"\n")
 
 
 def _read_lines(path) -> list[str]:
@@ -212,18 +194,8 @@ def write_dendrogram(d: Dendrogram, path) -> None:
     _write_text(path, lines)
 
 
-def write_stats(
-    s: RunStats,
-    path,
-    *,
-    n: int,
-    d: int,
-    k: int,
-    metric: str,
-    workers: int,
-    seed: int,
-) -> None:
-    """Flat key=value dump of the counters plus the run parameters."""
+def write_stats(s: RunStats, path, *, n: int, d: int, k: int, metric: str, seed: int) -> None:
+    """Flat key=value dump of the counters, the processes that ran (s.workers) and the run parameters."""
     lines = [
         f"distance_evals={s.distance_evals}",
         f"edges_gathered={s.edges_gathered}",
@@ -234,7 +206,7 @@ def write_stats(
         f"d={d}",
         f"k={k}",
         f"metric={metric}",
-        f"workers={workers}",
+        f"workers={s.workers}",
         f"seed={seed}",
     ]
     _write_text(path, lines)

@@ -327,16 +327,20 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
     assert dense_module.has_step_bound(m, d) != lockstep
     blocks = make_partition(70, 6).blocks  # four blocks of 12 points, two of 11
     tasks = [np.concatenate((a, b)) for a, b in combinations(blocks, 2)]
-    sizes = []
-    solve = decompose._solve_batch
+    calls = []
+    name = "lockstep_mst" if lockstep else "dense_mst"
+    solve = getattr(decompose, name)
 
-    def recording(points, metric, subsets):
-        sizes.append([len(s) for s in subsets])
-        return solve(points, metric, subsets)
+    def recording(points, metric, subsets=None, **kwargs):
+        calls.append(subsets if lockstep else kwargs["subset"])
+        return solve(points, metric, subsets, **kwargs)
 
-    monkeypatch.setattr(decompose, "_solve_batch", recording)
+    monkeypatch.setattr(decompose, name, recording)
     done = decompose._solve_share(pts, m, tasks, 0, 1)
-    assert sizes == [[24] * 6, [23] * 8, [22]]
+    if lockstep:
+        assert [[len(s) for s in subsets] for subsets in calls] == [[24] * 6, [23] * 8, [22]]
+    else:  # one call per task, in task order
+        assert len(calls) == len(tasks) and all(map(np.array_equal, calls, tasks))
     for task, tree in zip(tasks, done, strict=True):
         assert format_edges(tree) == format_edges(dense_mst(pts, m, subset=task))
 
@@ -348,6 +352,21 @@ def test_stats_count_the_processes_that_solved_tasks(workers, forking):
     assert stats.workers == min(workers, stats.tasks_executed) == min(workers, 3)
     _, stats = decomposed_mst(pts, m, make_partition(30, 1), "gather", workers)
     assert stats.workers == 1
+    assert no_child_processes()
+
+
+@pytest.mark.parametrize("workers", [2.0, True, False, "2", 0, -1])
+def test_workers_must_be_a_positive_integer(workers):
+    pts, m, part = _three_tasks()
+    with pytest.raises(UsageError, match="workers must be a positive integer"):
+        decomposed_mst(pts, m, part, "gather", workers)
+
+
+@pytest.mark.parametrize("workers", [np.int64(2), np.uint8(3), np.int32(1)])
+def test_numpy_integer_workers_are_stored_as_an_int(workers, forking):
+    pts, m, part = _three_tasks()
+    _, stats = decomposed_mst(pts, m, part, "gather", workers)
+    assert type(stats.workers) is int and stats.workers == int(workers)
     assert no_child_processes()
 
 
@@ -372,9 +391,9 @@ def test_worker_errors_come_through_unchanged(forking):
 
 
 def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.0, exc=ValueError):
-    """Patch the batch solver: the named block pairs' tasks raise exc, here or in a child."""
+    """Patch the lockstep solver: the named block pairs' tasks raise exc, here or in a child."""
     parent = os.getpid()
-    solve = decompose._solve_batch
+    solve = decompose.lockstep_mst
     blocks = _three_tasks()[2].blocks
 
     def patched(points, metric, subsets):
@@ -388,7 +407,7 @@ def _failing_tasks(monkeypatch, parent_fails=(), child_fails=(), child_sleeps=0.
                 raise exc(f"task {pair}")
         return solve(points, metric, subsets)
 
-    monkeypatch.setattr(decompose, "_solve_batch", patched)
+    monkeypatch.setattr(decompose, "lockstep_mst", patched)
 
 
 def _three_tasks():
@@ -424,7 +443,7 @@ def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monk
     with pytest.raises(ValueError) as caught:
         decomposed_mst(pts, m, part, "gather", 2)
     assert type(caught.value) is ValueError and str(caught.value) == "task (0, 2)"
-    # The child's frames, down to the patched batch solver that raised, are
+    # The child's frames, down to the patched lockstep solver that raised, are
     # in the chained cause.
     text = "".join(traceback.format_exception(caught.value))
     assert "in _solve_share" in text and "in patched" in text
@@ -484,14 +503,14 @@ def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy, f
 
 def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch, forking):
     parent = os.getpid()
-    solve = decompose._solve_batch
+    solve = decompose.lockstep_mst
 
     def patched(*args):
         if os.getpid() != parent:
             os._exit(3)
         return solve(*args)
 
-    monkeypatch.setattr(decompose, "_solve_batch", patched)
+    monkeypatch.setattr(decompose, "lockstep_mst", patched)
     pts, m, part = _three_tasks()
     with pytest.raises(RuntimeError, match="ended without reporting"):
         decomposed_mst(pts, m, part, "gather", 2)

@@ -126,9 +126,9 @@ def test_dendrogram_file_golden_bytes(tmp_path):
 
 
 def test_stats_file_has_all_keys(tmp_path):
-    stats = RunStats(distance_evals=10, edges_gathered=4, tasks_executed=3, wall_time=0.25)
+    stats = RunStats(distance_evals=10, edges_gathered=4, tasks_executed=3, wall_time=0.25, workers=2)
     path = tmp_path / "stats.txt"
-    write_stats(stats, path, n=5, d=2, k=3, metric="euclidean", workers=2, seed=9)
+    write_stats(stats, path, n=5, d=2, k=3, metric="euclidean", seed=9)
     pairs = dict(line.split("=", 1) for line in path.read_text().splitlines())
     assert pairs == {
         "distance_evals": "10",
@@ -268,15 +268,6 @@ def test_csv_reads_hard_decimals_as_float_does(tmp_path):
     assert _same(got, _row_parser_outcome(path))
 
 
-@given(text=csv_noise | csv_grids, chunk=st.integers(min_value=1, max_value=8))
-def test_csv_reader_equals_the_row_parser_at_any_chunk_size(text, chunk, tmp_path_factory):
-    path = tmp_path_factory.mktemp("csv") / "pts.csv"
-    path.write_bytes(text.encode("utf-8"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io_module, "_CHUNK", chunk)
-        assert _same(_outcome(path), _row_parser_outcome(path)), repr(text)
-
-
 def _split_refused(monkeypatch):
     def refuse(path):
         raise AssertionError("the csv was decoded and split into lines")
@@ -285,40 +276,59 @@ def _split_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("brk, ending", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n")])
-def test_a_plain_csv_longer_than_a_chunk_is_read_from_the_file(brk, ending, tmp_path, monkeypatch):
-    monkeypatch.setattr(io_module, "_CHUNK", 16)
+def test_a_plain_csv_is_read_without_the_row_parser(brk, ending, tmp_path, monkeypatch):
+    text = brk.join(f"{i},{i / 7!r},-{i}e-3" for i in range(2000)) + ending
+    # Zeros before row 0 start a break at byte 8191, so a "\r\n" straddles
+    # a boundary of the file's buffered reads (4 or 8 KiB).
+    text = "0" * (8191 - text.rindex(brk, 0, 8192)) + text
     path = tmp_path / "long.csv"
-    path.write_bytes((brk.join(f"{i},{i / 7!r},-{i}e-3" for i in range(40)) + ending).encode("ascii"))
+    path.write_bytes(text.encode("ascii"))
     want = _row_parser_outcome(path)
-    assert io_module._plain_line_count(path) == 40
     _split_refused(monkeypatch)
-    assert _same(_outcome(path), want) and want.shape == (40, 3)
+    assert _same(_outcome(path), want) and want.shape == (2000, 3)
 
 
-def test_a_crlf_across_a_chunk_boundary_is_one_break(tmp_path, monkeypatch):
-    monkeypatch.setattr(io_module, "_CHUNK", 16)
-    path = tmp_path / "crlf.csv"
-    path.write_bytes(b"1.0,2.0,3.00000\r\n4,5,6\r\n")  # "\r" ends chunk 0, "\n" starts chunk 1
-    assert io_module._plain_line_count(path) == 2
-    _split_refused(monkeypatch)
-    assert _same(_outcome(path), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+def test_a_plain_csv_is_opened_once(tmp_path, monkeypatch):
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(f"{i},{i / 7!r}\n" for i in range(100)), encoding="ascii")
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        opened.append(os.fspath(file) == os.fspath(path))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    assert read_points(path).coords.shape == (100, 2)
+    assert opened.count(True) == 1
+
+
+@pytest.mark.parametrize("last", [b"", b"1_0", b"\xff"])
+def test_a_long_plain_csv_with_a_bad_last_line_gets_the_row_parsers_outcome(last, tmp_path):
+    path = tmp_path / "tail.csv"
+    data = "".join(f"{i / 7!r}\n" for i in range(4999)).encode("ascii") + last + b"\n"
+    path.write_bytes(data)
+    got = _outcome(path)
+    if last == b"\xff":  # the row parser's reader names the byte
+        assert got == f"{path}: byte {len(data) - 2} is not valid UTF-8"
+    elif last == b"1_0":  # float() reads underscores, loadtxt does not
+        assert _same(got, _row_parser_outcome(path)) and got.shape == (5000, 1) and got[-1, 0] == 10.0
+    else:
+        assert got == _row_parser_outcome(path) and "row 4999 " in got
 
 
 @pytest.mark.parametrize(
     "text, row",
     [
-        ("1.0,2.0,3.00000\n\n4,5,6\n", 1),  # byte 15 ends chunk 0, byte 16 starts chunk 1
-        ("1,2,3\n4,5,6\n\n\n7,8,9", 2),  # inside a chunk
+        ("1.0,2.0,3.00000\n\n4,5,6\n", 1),  # the second line
+        ("1,2,3\n4,5,6\n\n\n7,8,9", 2),  # the third and fourth lines
         ("\n1,2,3\n", 0),  # the first line
         ("\n\n", 0),  # every line
     ],
 )
-def test_an_empty_line_gets_the_row_parsers_error_across_chunks(text, row, tmp_path, monkeypatch):
-    monkeypatch.setattr(io_module, "_CHUNK", 16)
+def test_an_empty_line_gets_the_row_parsers_error(text, row, tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text(text, encoding="ascii")
-    # The scan counts the empty line; loadtxt skips it, so its row count falls short.
-    assert io_module._plain_line_count(path) == len(text.splitlines())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(path)
