@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 from .errors import UsageError
-from .geometry import PointSet
+from .geometry import PointSet, _integer
 from .rng import SplitMix64
 
 DISTRIBUTIONS = ("uniform_cube", "gaussian", "clustered(c)")
@@ -31,10 +31,7 @@ def generate_instance(seed: int, n: int, d: int, distribution: str = "uniform_cu
     the first axis, far enough that the c-1 inter-blob MST edges dominate
     every intra-blob distance.
     """
-    if n < 0:
-        raise UsageError(f"point count must be non-negative, got {n}")
-    if d < 1:
-        raise UsageError(f"dimension must be at least 1, got {d}")
+    n, d = _integer(n, "point count"), _integer(d, "dimension", 1)
     rng = SplitMix64(seed)
     if distribution == "uniform_cube":
         return PointSet(rng.uniform_array(n * d).reshape(n, d))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .dense import dense_mst, has_step_bound, lockstep_mst
 from .errors import DataError, UsageError
-from .geometry import Metric, PointSet, _int64_array
+from .geometry import Metric, PointSet, _int64_array, _integer
 from .graph import EdgeList, kruskal, merges
 from .rng import SplitMix64
 from .stats import RunStats
@@ -110,9 +110,6 @@ class Partition:
     def count(self) -> int:
         return sum(b.size for b in self.blocks)
 
-    def block_sizes(self) -> list[int]:
-        return [int(b.size) for b in self.blocks]
-
 
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform has one.
@@ -132,10 +129,8 @@ def make_partition(n: int, k: int, strategy: str = "contiguous", seed: int = 0) 
     shuffled runs a seeded Fisher-Yates over the indices first and then
     splits the permuted order contiguously. Deterministic for fixed inputs.
     """
-    if n < 1:
-        raise UsageError("cannot partition an empty index range")
-    if k < 1 or k > n:
-        raise UsageError(f"block count must be in 1..{n}, got {k}")
+    n = _integer(n, "point count", 1)
+    k = _integer(k, "block count", 1, n)
     if strategy not in PARTITION_STRATEGIES:
         raise UsageError(f"unknown partition strategy {strategy!r}")
     order = list(range(n))
@@ -170,17 +165,14 @@ def decomposed_mst(
         raise UsageError(
             f"partition covers {part.count} indices but the point set has {points.count}"
         )
-    if workers is None:
-        workers = usable_cores()
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise UsageError("workers must be a positive integer")
+    workers = usable_cores() if workers is None else _integer(workers, "workers", 1)
 
     stats = RunStats(merge_strategy=merge)
     started = time.perf_counter()
 
     blocks = part.blocks
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
-    workers = _processes(tasks, metric, points.dim, int(workers)) if hasattr(os, "fork") else 1
+    workers = _processes(tasks, metric, points.dim, workers) if hasattr(os, "fork") else 1
     if points.count > 1:
         # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
         metric.check_domain(points)

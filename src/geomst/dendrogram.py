@@ -14,30 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
+from .geometry import _int64_array
 from .graph import EdgeList, _root, merges
 
 
 class Dendrogram:
-    """Merge history over count leaves as read-only arrays, count-1 steps, one root.
+    """Merge history over count = len(a) + 1 leaves as read-only arrays, one root.
 
     Step t merges clusters a[t] and b[t] (int64) at height[t] (float64) into
-    cluster count+t of size[t] (int64) leaves. The constructor checks that
-    every cluster is created before it is merged and merged at most once,
-    that heights are finite and non-decreasing, and that sizes add up.
+    cluster count+t, of size[t] (int64) leaves; count and size follow from
+    a and b. The constructor checks that the ids are integers and that every
+    cluster is created before it is merged and merged at most once, and
+    that heights are finite and non-decreasing.
     """
 
     __slots__ = ("count", "a", "b", "height", "size")
 
-    def __init__(self, count: int, a=(), b=(), height=(), size=()):
-        n = self.count = int(count)
-        a, b, size = (np.array(x, dtype=np.int64) for x in (a, b, size))
+    def __init__(self, a=(), b=(), height=()):
+        a, b = _int64_array(a, "cluster ids"), _int64_array(b, "cluster ids")
         height = np.array(height, dtype=np.float64)
-        if n < 1:
-            raise UsageError("a dendrogram needs at least one leaf")
-        if a.ndim != 1 or not a.shape == b.shape == height.shape == size.shape:
-            raise UsageError("a, b, height and size must be flat arrays of one length")
-        if len(a) != n - 1:
-            raise UsageError(f"{n} leaves require {n - 1} merge steps, got {len(a)}")
+        if a.ndim != 1 or not a.shape == b.shape == height.shape:
+            raise UsageError("a, b and height must be flat arrays of one length")
+        n = self.count = len(a) + 1
         ids = np.stack((a, b), axis=1).ravel()  # step t's clusters at 2t and 2t+1
         step = np.arange(ids.size) // 2
         bad = np.flatnonzero((ids < 0) | (ids >= n + step))
@@ -51,22 +49,22 @@ class Dendrogram:
             raise UsageError(f"merge height must be finite, got {float(height[bad[0]])!r}")
         if (np.diff(height) < 0).any():
             raise UsageError("merge heights must be non-decreasing")
-        sizes = np.concatenate((np.ones(n, dtype=np.int64), size))
-        bad = np.flatnonzero(size != sizes[a] + sizes[b])
-        if bad.size:
-            raise UsageError(f"step {bad[0]} records size {size[bad[0]]}, members say otherwise")
-        self.a, self.b, self.height, self.size = a, b, height, size
-        for arr in (a, b, height, size):
+        sizes = [1] * n
+        for ca, cb in zip(a.tolist(), b.tolist()):
+            sizes.append(sizes[ca] + sizes[cb])
+        self.a, self.b, self.height = a, b, height
+        self.size = np.array(sizes[n:], dtype=np.int64)
+        for arr in (a, b, height, self.size):
             arr.setflags(write=False)
 
     def __reduce__(self):
         # Unpickling runs the constructor, so a copy is checked and read-only.
-        return Dendrogram, (self.count, self.a, self.b, self.height, self.size)
+        return Dendrogram, (self.a, self.b, self.height)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dendrogram):
             return NotImplemented
-        fields = ("count", "a", "b", "height", "size")
+        fields = ("a", "b", "height")
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def cut(self, height: float) -> list:
@@ -106,8 +104,4 @@ def mst_to_dendrogram(tree: EdgeList, n: int) -> Dendrogram:
     if len(steps) < n - 1:
         raise UsageError("edge list contains a cycle; not a spanning tree")
     # n-1 edges that all merge touch every vertex, so merges' compacted ids are the vertices.
-    a, b = [s[1] for s in steps], [s[2] for s in steps]
-    sizes = [1] * n
-    for ca, cb in zip(a, b):
-        sizes.append(sizes[ca] + sizes[cb])
-    return Dendrogram(n, a, b, tree.w, sizes[n:])
+    return Dendrogram([s[1] for s in steps], [s[2] for s in steps], tree.w)

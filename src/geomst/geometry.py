@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, MetricDomainError, UsageError
-from .stats import RunStats
 
 _TINY = np.finfo(np.float64).tiny
 _HUGE = np.finfo(np.float64).max
@@ -59,6 +58,20 @@ def _int64_array(values, what: str) -> np.ndarray:
     if arr.size and arr.dtype.kind == "u" and arr.max() > 2**63 - 1:
         raise UsageError(f"{what} must be at most 2**63 - 1, got {arr.max()}")
     return arr.astype(np.int64)
+
+
+def _integer(value, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """value as an int if it is an int or a numpy integer in lo..hi; without hi, lo is 0 or 1.
+
+    A bool or a float is a UsageError, even True or 2.0: True would count
+    as 1, and a float would fail later in range() or be compared as it is.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= int(value) and (hi is None or int(value) <= hi):
+            return int(value)
+    if hi is not None:
+        raise UsageError(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
+    raise UsageError(f"{what} must be a {'positive' if lo else 'non-negative'} integer, got {value!r}")
 
 
 class PointSet:
@@ -253,26 +266,20 @@ class Metric:
         return total  # squared_euclidean
 
 
-def distance(metric: Metric, a, b, stats: RunStats | None = None) -> float:
-    """Metric value for one pair of raw vectors.
+def distance(metric: Metric, a, b) -> float:
+    """Metric value for one pair of raw vectors, as every code path computes it.
 
-    Increments stats.distance_evals by exactly 1 when a stats accumulator is
-    supplied. Raises UsageError on dimension mismatch and MetricDomainError
-    for a zero-norm vector under cosine_distance.
+    The pair is checked as the two-point PointSet (a, b): UsageError on
+    vectors that are not flat or differ in length, DataError on a NaN or
+    infinite coordinate, and MetricDomainError naming point id 0 (a) or 1
+    (b) for a zero-norm vector under cosine_distance.
     """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if av.ndim != 1 or bv.ndim != 1:
         raise UsageError("distance expects flat vectors")
     if av.shape != bv.shape:
         raise UsageError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    if av.size == 0:
-        raise UsageError("vectors need at least one dimension")
-    if metric.kind == "cosine_distance":
-        norms, (av, bv) = _unit_rows(np.stack((av, bv)))
-        if not norms.all():
-            raise MetricDomainError("cosine_distance is undefined for the zero vector")
-    value = float(metric.block(av, bv.reshape(1, -1))[0])
-    if stats is not None:
-        stats.distance_evals += 1
-    return value
+    pair = PointSet(np.stack((av, bv)))
+    metric.check_domain(pair)
+    rows = metric.prepared(pair)
+    return float(metric.block(rows[0], rows[1:])[0])

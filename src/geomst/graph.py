@@ -14,7 +14,6 @@ what it scans; gather, each reduce combine and the oracle call it.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -68,15 +67,6 @@ class EdgeList:
         # Unpickling runs the constructor, so a copy is checked and read-only.
         return EdgeList, (self.u, self.v, self.w)
 
-    @classmethod
-    def concat(cls, lists: Sequence[EdgeList]) -> EdgeList:
-        """The edges of one or more lists, in one list."""
-        return cls(
-            np.concatenate([el.u for el in lists]),
-            np.concatenate([el.v for el in lists]),
-            np.concatenate([el.w for el in lists]),
-        )
-
     def triples(self) -> Iterator[tuple[int, int, float]]:
         """(u, v, w) as Python numbers, in order."""
         return zip(self.u.tolist(), self.v.tolist(), self.w.tolist())
@@ -95,9 +85,6 @@ class EdgeList:
         if not isinstance(other, EdgeList):
             return NotImplemented
         return all(map(np.array_equal, (self.u, self.v, self.w), (other.u, other.v, other.w)))
-
-    def total_weight(self) -> float:
-        return math.fsum(self.w.tolist())
 
     def check_range(self, n: int) -> None:
         """Raise UsageError naming the first edge with an endpoint outside 0..n-1."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, UsageError
-from .geometry import Metric, PointSet, subset_indices
+from .geometry import Metric, PointSet, _integer, subset_indices
 from .graph import EdgeList, Pairs, kruskal, merges
 
 DEFAULT_MAX_POINTS = 2048
@@ -31,7 +31,7 @@ def oracle_mst(
     tree needs one of them does this raise DataError, naming the first such
     pair in (u, v) order that joins two components of the finite forest.
     """
-    forest, gid, over = _finite_forest(points, metric, subset, max_points)
+    forest, gid, over = _finite_forest(points, metric, subset, _integer(max_points, "max_points"))
     if len(forest) < gid.size - 1:
         u, v, x = (np.concatenate(pair) for pair in zip((forest.u, forest.v, forest.w), over))
         i = merges(u, v)[len(forest)][0]  # the forest's own pairs are the first merges

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
+from .geometry import _integer
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -28,9 +29,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK:
-            raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self._state = seed
+        self._state = _integer(seed, "seed", 0, _MASK)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -38,10 +37,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) by modulo reduction.
@@ -81,6 +76,3 @@ class SplitMix64:
         u1 = np.maximum(u[:, 0], 2.0**-53)
         r = np.sqrt(-2.0 * np.log(u1))
         return r * np.cos((2.0 * np.pi) * u[:, 1])
-
-    def normal(self) -> float:
-        return float(self.normal_array(1)[0])

@@ -11,7 +11,7 @@ class RunStats:
 
     distance_evals counts unordered-pair metric evaluations. edges_gathered
     counts edges that crossed a task boundary into a merge step; it stays 0
-    when the run consists of a single task and no merge happens.
+    only for one block (k = 1), whose task tree is the result unmerged.
     combine_input_sizes records, for the reduce strategy only, how many edges
     each combine consumed; its last entry is the final combine's input size.
     wall_time is in seconds. workers counts the processes that solved tasks.

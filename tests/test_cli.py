@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,35 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, the output shown under it) for each `$ ` line of README's CLI examples, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = text[text.index("## CLI") : text.index("## Guarantees")]
+    blocks = re.findall(r"^```sh\n(.*?)^```", cli_section, re.M | re.S)
+    return [ex for block in blocks for ex in re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)]
+
+
+def test_readme_cli_examples_print_what_readme_shows(tmp_path, monkeypatch, capsys):
+    # The examples share one directory, as a reader running them in turn would.
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    commands = [shlex.split(cmd)[:2] for cmd, _ in examples]
+    assert [c[1] for c in commands if c[0] == "geomst"] == ["mst", "verify", "bench", "dendrogram"]
+    for cmd, expected in examples:
+        argv = shlex.split(cmd)
+        if argv[0] == "printf":  # printf FORMAT > FILE
+            Path(argv[3]).write_text(argv[1].encode().decode("unicode_escape"), encoding="utf-8")
+            out = ""
+        elif argv[0] == "cat":
+            out = Path(argv[1]).read_text(encoding="utf-8")
+        else:
+            code, out, err = run(argv[1:], capsys)
+            assert (code, err) == (0, ""), cmd
+        if argv[1] == "bench":  # every column but the last, wall_time_ms, is reproducible
+            out, expected = ([line.rsplit("\t", 1)[0] for line in x.splitlines()] for x in (out, expected))
+        assert out == expected, cmd
 
 
 def test_mst_writes_edges_to_stdout_by_default(points_csv, capsys):

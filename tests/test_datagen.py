@@ -17,6 +17,28 @@ from geomst import (
 )
 
 
+@pytest.mark.parametrize(
+    "seed, n, d, match",
+    [
+        (1.5, 3, 2, "seed must be an integer"),
+        (True, 3, 2, "seed must be an integer"),
+        (1, 3.0, 2, "point count must be a non-negative integer, got 3.0"),
+        (1, -1, 2, "point count must be a non-negative integer, got -1"),
+        (1, 3, 2.5, "dimension must be a positive integer, got 2.5"),
+        (1, 3, True, "dimension must be a positive integer, got True"),
+        (1, 3, 0, "dimension must be a positive integer, got 0"),
+    ],
+)
+def test_seed_count_and_dimension_must_be_integers(seed, n, d, match):
+    with pytest.raises(UsageError, match=match):
+        generate_instance(seed, n, d)
+
+
+def test_numpy_integer_arguments_draw_the_same_points():
+    a = generate_instance(np.uint64(5), np.int32(7), np.int8(3), "gaussian")
+    assert a.coords.tobytes() == generate_instance(5, 7, 3, "gaussian").coords.tobytes()
+
+
 def test_distribution_names_exposed():
     assert DISTRIBUTIONS == ("uniform_cube", "gaussian", "clustered(c)")
 

@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -65,7 +66,27 @@ def test_shuffled_partition_still_covers_everything():
     part = make_partition(50, 7, "shuffled", seed=3)
     merged = sorted(i for b in part.blocks for i in b.tolist())
     assert merged == list(range(50))
-    assert part.block_sizes() == [8, 7, 7, 7, 7, 7, 7]
+    assert [b.size for b in part.blocks] == [8, 7, 7, 7, 7, 7, 7]
+
+
+@pytest.mark.parametrize(
+    "n, k, match",
+    [
+        (10, 2.5, "block count must be an integer in 1..10, got 2.5"),
+        (10, True, "block count must be an integer in 1..10, got True"),
+        (10.0, 2, "point count must be a positive integer, got 10.0"),
+        (np.float64(10.0), 2, "point count must be a positive integer"),
+        (10, "2", "block count must be an integer in 1..10, got '2'"),
+        (0, 1, "point count must be a positive integer, got 0"),
+    ],
+)
+def test_partition_counts_must_be_integers(n, k, match):
+    with pytest.raises(UsageError, match=re.escape(match)):
+        make_partition(n, k)
+
+
+def test_partition_takes_numpy_integer_counts():
+    assert make_partition(np.int64(10), np.uint8(3)) == make_partition(10, 3)
 
 
 def test_partition_validation():
@@ -210,7 +231,7 @@ def test_work_counter_general_form_for_uneven_partitions(name, d, workers):
     # The runner's count is the sum of the kernel's own counter over the tasks.
     pts = generate_instance(55, 23, d, "gaussian")
     part = make_partition(23, 5)
-    sizes = part.block_sizes()
+    sizes = [b.size for b in part.blocks]
     _, stats = decomposed_mst(pts, Metric(name), part, "gather", workers)
     expected = 0
     kernel = RunStats()
@@ -226,7 +247,7 @@ def test_gather_count_is_sum_of_task_tree_sizes():
     n, k = 60, 5
     pts = generate_instance(3, n, 8, "uniform_cube")
     part = make_partition(n, k)
-    sizes = part.block_sizes()
+    sizes = [b.size for b in part.blocks]
     _, stats = decomposed_mst(pts, Metric("euclidean"), part, "gather", 1)
     expected = sum(sizes[i] + sizes[j] - 1 for i in range(k) for j in range(i + 1, k))
     assert stats.edges_gathered == expected
@@ -355,7 +376,7 @@ def test_stats_count_the_processes_that_solved_tasks(workers, forking):
     assert no_child_processes()
 
 
-@pytest.mark.parametrize("workers", [2.0, True, False, "2", 0, -1])
+@pytest.mark.parametrize("workers", [2.0, np.float64(2.0), True, np.bool_(True), False, "2", 0, -1])
 def test_workers_must_be_a_positive_integer(workers):
     pts, m, part = _three_tasks()
     with pytest.raises(UsageError, match="workers must be a positive integer"):

@@ -1,5 +1,7 @@
 """MST-to-single-linkage conversion: pinned traces, naive oracle, cuts."""
 
+import pickle
+
 import pytest
 from reference import naive_cut, naive_single_linkage, pairwise_matrix, threshold_components
 from hypothesis import given
@@ -37,7 +39,7 @@ def test_two_point_single_step():
 
 def test_single_leaf_has_no_steps():
     d = mst_to_dendrogram(EdgeList(), 1)
-    assert steps(d) == []
+    assert steps(d) == [] and d.count == 1 and d == Dendrogram()
     assert d.cut(0.0) == [[0]]
 
 
@@ -78,7 +80,7 @@ def test_cut_equals_threshold_graph_components():
     rng = SplitMix64(0)
     top = max(e.w for e in tree)
     for _ in range(10):
-        h = rng.uniform() * top * 1.1
+        h = rng.uniform_array(1)[0] * top * 1.1
         assert {tuple(b) for b in d.cut(h)} == threshold_components(tree, n, h)
     # exactly at a merge height, the tied edge is included on both sides
     tie = float(d.height[n // 2])
@@ -127,22 +129,31 @@ def test_rejects_forests_and_cycles():
 
 def test_dendrogram_type_validates_its_invariants():
     cases = [
-        ([0], [1], [1.0], [2], "require 2 merge steps"),
-        ([0, 3], [1, 2], [2.0, 1.0], [2, 3], "non-decreasing"),
-        ([0, 0], [1, 2], [1.0, 2.0], [2, 3], "cluster 0 is merged more than once"),
-        ([0, 3], [1, 2], [1.0, 2.0], [2, 2], "step 1 records size 2"),
-        ([0, 3], [1, 2], [float("nan"), 1.0], [2, 3], "finite, got nan"),
-        ([0, 3], [1, 2], [1.0, float("inf")], [2, 3], "finite, got inf"),
-        ([-1, 3], [1, 2], [1.0, 2.0], [2, 3], "step 0 merges an unknown cluster -1"),
-        ([0, 3], [4, 2], [1.0, 2.0], [2, 3], "step 0 merges an unknown cluster 4"),  # forward
+        ([0, 3], [1, 2], [2.0, 1.0], "non-decreasing"),
+        ([0, 0], [1, 2], [1.0, 2.0], "cluster 0 is merged more than once"),
+        ([0, 3], [1, 2], [float("nan"), 1.0], "finite, got nan"),
+        ([0, 3], [1, 2], [1.0, float("inf")], "finite, got inf"),
+        ([-1, 3], [1, 2], [1.0, 2.0], "step 0 merges an unknown cluster -1"),
+        ([0, 3], [4, 2], [1.0, 2.0], "step 0 merges an unknown cluster 4"),  # forward
+        ([0, 3], [1], [1.0, 2.0], "one length"),
+        ([0.7, 3], [1, 2], [1.0, 2.0], "cluster ids must be integers, got dtype float64"),
     ]
-    for a, b, height, size, match in cases:
+    for a, b, height, match in cases:
         with pytest.raises(UsageError, match=match):
-            Dendrogram(3, a, b, height, size)
-    d = Dendrogram(3, [0, 3], [1, 2], [1.0, 2.0], [2, 3])
+            Dendrogram(a, b, height)
+    d = Dendrogram([0, 3], [1, 2], [1.0, 2.0])
     assert d.count == 3 and steps(d) == [(0, 1, 1.0, 2), (3, 2, 2.0, 3)]
     with pytest.raises(ValueError):
         d.height[0] = 0.0
+
+
+def test_count_and_sizes_follow_from_the_merges():
+    # No count or size is passed: a pickled copy is rebuilt from a, b and height.
+    d = Dendrogram([1, 2, 0, 7], [3, 4, 5, 6], [0.5, 1.0, 1.0, 3.0])
+    assert d.count == 5 and d.size.tolist() == [2, 2, 3, 5]
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and copy.count == 5 and copy.size.tolist() == [2, 2, 3, 5]
+    assert not copy.size.flags.writeable
 
 
 def test_sizes_accumulate_along_steps():

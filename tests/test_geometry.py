@@ -20,7 +20,6 @@ from geomst import (
     Metric,
     MetricDomainError,
     PointSet,
-    RunStats,
     SplitMix64,
     UsageError,
     dense_mst,
@@ -67,17 +66,11 @@ def test_identity_holds_on_random_vectors(name):
         assert distance(m, v, v) == 0.0
 
 
-def test_counter_increments_by_exactly_one():
-    stats = RunStats()
-    distance(Metric("euclidean"), (0.0,), (1.0,), stats)
-    assert stats.distance_evals == 1
-    distance(Metric("manhattan"), (0.0,), (1.0,), stats)
-    assert stats.distance_evals == 2
-
-
 def test_dimension_mismatch_is_usage_error():
     with pytest.raises(UsageError):
         distance(Metric("euclidean"), (0.0, 0.0), (1.0,))
+    with pytest.raises(UsageError, match="at least one dimension"):
+        distance(Metric("euclidean"), [], [])
 
 
 def test_cosine_zero_vector_is_domain_error():
@@ -85,6 +78,16 @@ def test_cosine_zero_vector_is_domain_error():
         distance(Metric("cosine_distance"), (0.0, 0.0), (1.0, 1.0))
     with pytest.raises(MetricDomainError):
         distance(Metric("cosine_distance"), (1.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coordinate_is_data_error(name, bad):
+    # as PointSet refuses it: a NaN or inf never reaches the metric
+    with pytest.raises(DataError, match="non-finite coordinate in point 0"):
+        distance(Metric(name), [bad, 1.0], [0.0, 1.0])
+    with pytest.raises(DataError, match="non-finite coordinate in point 1"):
+        distance(Metric(name), [0.0, 1.0], [1.0, bad])
 
 
 def test_unknown_metric_rejected():

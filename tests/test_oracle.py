@@ -63,7 +63,7 @@ def test_total_weight_matches_dense_kernel_tightly():
     a = oracle_mst(pts, m)
     b = dense_mst(pts, m)
     assert keys(a) == keys(b)
-    assert a.total_weight() == pytest.approx(b.total_weight(), rel=1e-12)
+    assert math.fsum(a.w.tolist()) == pytest.approx(math.fsum(b.w.tolist()), rel=1e-12)
 
 
 def test_cap_refused_and_overridable():
@@ -72,6 +72,18 @@ def test_cap_refused_and_overridable():
     with pytest.raises(UsageError):
         oracle_mst(pts, m, max_points=29)
     assert len(oracle_mst(pts, m, max_points=30)) == 29
+
+
+@pytest.mark.parametrize("cap", [2.5, 30.0, True, "30", None, -1])
+def test_cap_must_be_a_non_negative_integer(cap):
+    pts = generate_instance(1, 3, 2, "uniform_cube")
+    with pytest.raises(UsageError, match="max_points must be a non-negative integer"):
+        oracle_mst(pts, Metric("euclidean"), max_points=cap)
+
+
+def test_cap_takes_a_numpy_integer():
+    pts = generate_instance(1, 30, 2, "uniform_cube")
+    assert len(oracle_mst(pts, Metric("euclidean"), max_points=np.int16(30))) == 29
 
 
 def test_induced_full_subset_equals_whole():
@@ -188,7 +200,7 @@ def test_containment_checks_the_whole_forest_it_is_given():
     # an edge inside the subset that the subset's own tree lacks must fail
     tree_pairs = set(zip(sub.u.tolist(), sub.v.tolist()))
     u, v = next(p for p in combinations(range(4), 2) if p not in tree_pairs)
-    extra = EdgeList.concat([whole, EdgeList([u], [v], [0.0])])
+    extra = EdgeList(np.append(whole.u, u), np.append(whole.v, v), np.append(whole.w, 0.0))
     assert not check_substructure(pts, m, [0, 1, 2, 3], whole=extra)
 
 
