@@ -30,10 +30,11 @@ from .decompose import (
 )
 from .dendrogram import mst_to_dendrogram
 from .errors import DataError, UsageError
-from .geometry import METRIC_NAMES, Metric, PointSet
+from .geometry import METRIC_NAMES, Metric, PointSet, _integer
 from .graph import EdgeList
 from .io import (
     POINT_FORMATS,
+    _write_text,
     fmt_real,
     format_edges,
     read_points,
@@ -51,25 +52,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+def _int(what: str, lo: int = 0, hi: int | None = None):
+    """An argparse type: the flag's text as an int that geometry._integer accepts, or its message."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value: 'x'"
+        try:
+            return _integer(int(text), what, lo, hi)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return integer
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
-
-
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a non-negative integer")
-    return value
+def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metric", choices=METRIC_NAMES, default="euclidean")
+    p.add_argument(
+        "--workers",
+        type=_int("workers", 1),
+        default=None,
+        help="most worker processes (default: all usable cores); a run forks only as many as its work repays",
+    )
+    p.add_argument(
+        "--seed",
+        type=_int("seed", 0, 2**64 - 1),
+        default=0,
+        help="unsigned 64-bit seed: the shuffled partition, verify's subsets, bench's instance",
+    )
 
 
 def _add_compute_flags(p: argparse.ArgumentParser) -> None:
@@ -77,25 +85,16 @@ def _add_compute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=POINT_FORMATS, default=None, help="input format (default: by extension)"
     )
-    p.add_argument("--metric", choices=METRIC_NAMES, default="euclidean")
+    _add_shared_flags(p)
     p.add_argument(
         "--partitions",
-        type=_positive,
+        type=_int("partitions", 1),
         default=None,
         metavar="K",
         help="block count (default: ceil(sqrt(2*workers)), clamped to the point count)",
     )
     p.add_argument("--partition-strategy", choices=PARTITION_STRATEGIES, default="contiguous")
-    p.add_argument(
-        "--seed", type=_u64, default=0, help="unsigned 64-bit seed for shuffled partitioning"
-    )
     p.add_argument("--merge", choices=MERGE_STRATEGIES, default="gather")
-    p.add_argument(
-        "--workers",
-        type=_positive,
-        default=None,
-        help="most worker processes (default: all usable cores); a run forks only as many as its work repays",
-    )
     p.add_argument("--output", default=None, metavar="PATH", help="edge TSV (default: stdout)")
     p.add_argument("--stats", default=None, metavar="PATH", help="write run counters as key=value")
 
@@ -114,30 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the decomposition against the brute-force oracle")
     _add_compute_flags(p)
     p.add_argument(
-        "--trials",
-        type=_non_negative,
-        default=20,
-        help="random-subset containment checks to run (default 20)",
+        "--trials", type=_int("trials"), default=20, help="random-subset containment checks to run (default 20)"
     )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="sweep block counts on a generated instance")
     p.add_argument("--n", type=int, required=True, help="points to generate (at least 2)")
-    p.add_argument("--dim", type=_positive, required=True)
-    p.add_argument("--metric", choices=METRIC_NAMES, default="euclidean")
+    p.add_argument("--dim", type=_int("dim", 1), required=True)
+    _add_shared_flags(p)
     p.add_argument(
         "--partitions-list",
         default="1,2,4,8",
         metavar="K,K,...",
         help="comma-separated block counts (default 1,2,4,8)",
     )
-    p.add_argument(
-        "--workers",
-        type=_positive,
-        default=None,
-        help="most worker processes (default: all usable cores); a run forks only as many as its work repays",
-    )
-    p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--output", default=None, metavar="PATH", help="TSV table (default: stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -174,8 +163,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(output, text)
 
 
 def _maybe_write_stats(args, stats, points, k) -> None:
@@ -229,11 +217,10 @@ def cmd_bench(args) -> int:
         raise UsageError("--partitions-list must be comma-separated integers") from None
     points = generate_instance(args.seed, args.n, args.dim, "uniform_cube")
     metric = Metric(args.metric)
-    workers = args.workers or usable_cores()
     rows = ["k\ttasks\tdistance_evals\tredundancy_factor\tedges_gathered\twall_time_ms"]
     for k in ks:
         part = make_partition(args.n, k, "contiguous", args.seed)
-        _, stats = decomposed_mst(points, metric, part, "gather", workers)
+        _, stats = decomposed_mst(points, metric, part, "gather", args.workers)
         rows.append(
             f"{k}\t{stats.tasks_executed}\t{stats.distance_evals}"
             f"\t{fmt_real(redundancy_factor(stats, args.n))}"

@@ -148,8 +148,7 @@ def write_points(points: PointSet, path, format: str | None = None) -> None:
     """Serialize coordinates so read_points reproduces them bit-exactly."""
     fmt = detect_format(path) if format is None else format
     if fmt == "csv":
-        lines = [",".join(fmt_real(x) for x in row) for row in points.coords]
-        _write_text(path, lines)
+        _write_text(path, "".join(",".join(map(fmt_real, row)) + "\n" for row in points.coords))
     elif fmt == "vecbin":
         payload = np.ascontiguousarray(points.coords, dtype="<f8").tobytes()
         with open(path, "wb") as fh:
@@ -165,8 +164,7 @@ def format_edges(tree: EdgeList) -> str:
 
 
 def write_edges(tree: EdgeList, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_edges(tree))
+    _write_text(path, format_edges(tree))
 
 
 def read_edges(path) -> EdgeList:
@@ -189,29 +187,30 @@ def read_edges(path) -> EdgeList:
 
 def write_dendrogram(d: Dendrogram, path) -> None:
     """TSV merge log: step index, cluster_a, cluster_b, height, size."""
-    steps = zip(d.a.tolist(), d.b.tolist(), d.height.tolist(), d.size.tolist())
-    lines = [f"{t}\t{a}\t{b}\t{fmt_real(h)}\t{s}" for t, (a, b, h, s) in enumerate(steps)]
-    _write_text(path, lines)
+    steps = enumerate(zip(d.a.tolist(), d.b.tolist(), d.height.tolist(), d.size.tolist()))
+    _write_text(path, "".join(f"{t}\t{a}\t{b}\t{fmt_real(h)}\t{s}\n" for t, (a, b, h, s) in steps))
 
 
 def write_stats(s: RunStats, path, *, n: int, d: int, k: int, metric: str, seed: int) -> None:
     """Flat key=value dump of the counters, the processes that ran (s.workers) and the run parameters."""
-    lines = [
-        f"distance_evals={s.distance_evals}",
-        f"edges_gathered={s.edges_gathered}",
-        f"tasks_executed={s.tasks_executed}",
-        f"merge_strategy={s.merge_strategy}",
-        f"wall_time_ms={fmt_real(s.wall_time * 1000.0)}",
-        f"n={n}",
-        f"d={d}",
-        f"k={k}",
-        f"metric={metric}",
-        f"workers={s.workers}",
-        f"seed={seed}",
-    ]
-    _write_text(path, lines)
+    fields = {
+        "distance_evals": s.distance_evals,
+        "edges_gathered": s.edges_gathered,
+        "tasks_executed": s.tasks_executed,
+        "merge_strategy": s.merge_strategy,
+        "combine_input_sizes": ",".join(map(str, s.combine_input_sizes)),
+        "wall_time_ms": fmt_real(s.wall_time * 1000.0),
+        "n": n,
+        "d": d,
+        "k": k,
+        "metric": metric,
+        "workers": s.workers,
+        "seed": seed,
+    }
+    _write_text(path, "".join(f"{key}={value}\n" for key, value in fields.items()))
 
 
-def _write_text(path, lines) -> None:
+def _write_text(path, text: str) -> None:
+    """The one text writer of the package: UTF-8, line breaks written as they are in text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        fh.write(text)

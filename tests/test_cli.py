@@ -106,13 +106,6 @@ def test_partitions_beyond_point_count_are_clamped(points_csv, capsys):
     assert out == COLLINEAR_EDGES
 
 
-def test_partitions_zero_is_a_usage_error(points_csv, capsys):
-    code, out, err = run(["mst", "--input", points_csv, "--partitions", "0"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-
-
 def test_merge_strategies_emit_identical_bytes(square_csv, tmp_path, capsys):
     outs = {}
     for merge in ("gather", "reduce"):
@@ -316,9 +309,6 @@ def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
         ["mst"],
         ["mst", "--input", "x.csv", "--metric", "hamming"],
         ["mst", "--input", "x.csv", "--no-such-flag"],
-        ["mst", "--input", "x.csv", "--seed", "-1"],
-        ["mst", "--input", "x.csv", "--seed", str(2**64)],
-        ["mst", "--input", "x.csv", "--workers", "0"],
         ["frobnicate"],
     ],
 )
@@ -326,6 +316,30 @@ def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+U64_RANGE = f"seed must be an integer in 0..{2**64 - 1}"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, wording",
+    [
+        ("mst", "--partitions", "0", "partitions must be a positive integer, got 0"),
+        ("mst", "--workers", "0", "workers must be a positive integer, got 0"),
+        ("verify", "--trials", "-1", "trials must be a non-negative integer, got -1"),
+        ("bench", "--dim", "0", "dim must be a positive integer, got 0"),
+        ("mst", "--seed", "-1", f"{U64_RANGE}, got -1"),
+        ("mst", "--seed", str(2**64), f"{U64_RANGE}, got {2**64}"),
+        ("mst", "--seed", "x", "invalid integer value: 'x'"),
+    ],
+)
+def test_integer_flags_refuse_with_the_library_wording(tmp_path, capsys, command, flag, value, wording):
+    # The input does not exist: every refusal comes from the parser, before anything is read.
+    argv = ["--n", "8"] if command == "bench" else ["--input", str(tmp_path / "absent.csv")]
+    code, out, err = run([command, *argv, flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument {flag}: {wording}\n"
 
 
 def test_help_exits_zero(capsys):
@@ -410,19 +424,6 @@ def test_verify_above_the_oracle_cap_is_refused_before_decomposing(tmp_path, cap
     assert "max_points" not in err
 
 
-def test_verify_negative_trials_rejected(square_csv, capsys):
-    code, _, err = run(["verify", "--input", square_csv, "--trials", "-1"], capsys)
-    assert code == 1
-    assert "--trials" in err
-
-
-def test_verify_negative_trials_rejected_before_the_input_is_read(tmp_path, capsys):
-    absent = str(tmp_path / "absent.csv")
-    code, _, err = run(["verify", "--input", absent, "--trials", "-1"], capsys)
-    assert code == 1
-    assert "--trials" in err
-
-
 @pytest.mark.parametrize("command", ["mst", "verify", "dendrogram"])
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_partitions_below_one_rejected_before_the_input_is_read(tmp_path, capsys, command, k):
@@ -466,12 +467,49 @@ def test_bench_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["mst", "--output", "e", "--stats", "s"], ["e", "s"]),
+        (["verify", "--trials", "1", "--output", "e", "--stats", "s"], ["e", "s"]),
+        (["dendrogram", "--output", "e", "--dendro-output", "t", "--stats", "s"], ["e", "t", "s"]),
+        (["bench", "--n", "8", "--dim", "2", "--partitions-list", "2", "--output", "b"], ["b"]),
+    ],
+)
+def test_every_file_goes_through_one_text_writer_call(square_csv, tmp_path, monkeypatch, capsys, argv, files):
+    real = geomst.io._write_text
+    written = []
+
+    def record(path, text):
+        written.append(path)
+        real(path, text)
+
+    monkeypatch.setattr(geomst.io, "_write_text", record)
+    monkeypatch.setattr(cli, "_write_text", record)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    argv += ["--workers", "1"] + ([] if argv[0] == "bench" else ["--input", square_csv])
+    assert run(argv, capsys)[0] == 0
+    assert [str(p) for p in written] == [str(tmp_path / f) for f in files]
+    assert all((tmp_path / f).stat().st_size > 0 for f in files)
+
+
+@pytest.mark.parametrize("merge", MERGE_STRATEGIES)
+def test_stats_file_shows_each_combine_input_size(square_csv, tmp_path, capsys, merge):
+    dest = tmp_path / "stats.txt"
+    argv = ["mst", "--input", square_csv, "--partitions", "4", "--merge", merge, "--stats", str(dest)]
+    assert run(argv, capsys)[0] == 0
+    stats = dict(line.split("=", 1) for line in dest.read_text(encoding="utf-8").splitlines())
+    points = geomst.read_points(square_csv)
+    _, want = geomst.decomposed_mst(points, Metric("euclidean"), geomst.make_partition(5, 4), merge, 1)
+    assert stats["combine_input_sizes"] == ",".join(map(str, want.combine_input_sizes))
+    assert (stats["combine_input_sizes"] != "") == (merge == "reduce")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--n", "1", "--dim", "2"],
         ["bench", "--n", "8", "--dim", "2", "--partitions-list", "1,x"],
         ["bench", "--n", "8", "--dim", "2", "--partitions-list", "16"],
-        ["bench", "--n", "8", "--dim", "0"],
     ],
 )
 def test_bench_rejects_bad_requests(argv, capsys):

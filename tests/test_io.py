@@ -125,8 +125,14 @@ def test_dendrogram_file_golden_bytes(tmp_path):
     assert path.read_text() == "0\t0\t1\t1.0\t2\n1\t3\t2\t2.0\t3\n"
 
 
-def test_stats_file_has_all_keys(tmp_path):
-    stats = RunStats(distance_evals=10, edges_gathered=4, tasks_executed=3, wall_time=0.25, workers=2)
+@pytest.mark.parametrize(
+    "merge, sizes, shown", [("gather", [], ""), ("reduce", [4, 7], "4,7")], ids=["gather", "reduce"]
+)
+def test_stats_file_has_all_keys(tmp_path, merge, sizes, shown):
+    stats = RunStats(
+        distance_evals=10, edges_gathered=4, tasks_executed=3, merge_strategy=merge,
+        wall_time=0.25, combine_input_sizes=sizes, workers=2,
+    )
     path = tmp_path / "stats.txt"
     write_stats(stats, path, n=5, d=2, k=3, metric="euclidean", seed=9)
     pairs = dict(line.split("=", 1) for line in path.read_text().splitlines())
@@ -134,7 +140,8 @@ def test_stats_file_has_all_keys(tmp_path):
         "distance_evals": "10",
         "edges_gathered": "4",
         "tasks_executed": "3",
-        "merge_strategy": "gather",
+        "merge_strategy": merge,
+        "combine_input_sizes": shown,
         "wall_time_ms": "250.0",
         "n": "5",
         "d": "2",
