@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[PointSet, Metric]:
-    return read_points(args.input, args.format), Metric(args.metric)
+    return read_points(args.input, args.format, args.workers), Metric(args.metric)
 
 
 def _compute(args, points: PointSet, metric: Metric):

@@ -13,27 +13,29 @@ to end, so no reindexing pass exists anywhere.
 Communication is counted, not transported: edges_gathered measures what a
 distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
-parallel too, not only the numpy arithmetic that releases the GIL. The
-calling process solves one share of the tasks itself and forks one child
-per other share. A share solves tasks whose steps dense_mst bounds one by
-one, and the others in one dense.lockstep_mst call per task size, one step
-for many of them. The children inherit the points and the task list, and
-each returns its task forests as pickled EdgeLists, or the exception its
-share raised with the child's traceback, over a pipe; an EdgeList
-unpickles through its constructor. The forests are merged in task order
-whatever order the shares finish in. With one worker, as with
-one block or where os.fork does not exist, the same runner forks nothing
-and solves the single share in this process. It needs neither
-multiprocessing nor a `__main__` guard.
+parallel too, not only the numpy arithmetic that releases the GIL. Share s
+is tasks s, s + w, ...; a share solves tasks whose steps dense_mst bounds
+one by one, and the others in one dense.lockstep_mst call per task size,
+one step for many of them. The forest lists are merged in task order
+whatever order the shares finish in.
+
+_run_forked is the package's one process runner; io's csv reader uses it
+too. It runs job 0 in the calling process and forks one child per other
+job. The children inherit what their jobs read, and each returns its
+job's result, or the exception the job raised with the child's traceback,
+pickled over a pipe; an EdgeList unpickles through its constructor. With
+one job, as with one worker, one block or where os.fork does not exist,
+it forks nothing. It needs neither multiprocessing nor a `__main__` guard.
 
 A fork costs CPU time of its own, so a run forks only as many processes
-as its tasks' work repays (_processes); the measurements behind the rule
-are beside its constants.
+as its estimated work repays (_repaid, with the task estimate in
+_processes); the measurements behind the rule are beside its constants.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import pickle
@@ -172,11 +174,14 @@ def decomposed_mst(
 
     blocks = part.blocks
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
-    workers = _processes(tasks, metric, points.dim, workers) if hasattr(os, "fork") else 1
+    workers = _processes(tasks, metric, points.dim, workers)
     if points.count > 1:
         # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
         metric.check_domain(points)
-    task_trees = _solve_forked(points, metric, tasks, workers)
+    task_trees: list = [None] * len(tasks)
+    shares = [functools.partial(_solve_share, points, metric, tasks, s, workers) for s in range(workers)]
+    for s, share in enumerate(_run_forked(shares)):
+        task_trees[s::workers] = share
 
     stats.tasks_executed = len(tasks)
     stats.workers = workers
@@ -207,7 +212,7 @@ def decomposed_mst(
 
 
 def _processes(tasks, metric: Metric, dim: int, workers: int) -> int:
-    """The processes, at most workers and one per task, that each get _FORK_MIN_S of estimated work.
+    """The processes, at most workers and one per task, that the tasks' estimated work repays.
 
     The estimate is the tasks' CPU time in one process: a group of tasks of
     one size steps once if unbounded (dense_mst alone or lockstep) and
@@ -221,37 +226,42 @@ def _processes(tasks, metric: Metric, dim: int, workers: int) -> int:
             seconds += count * ((m - 1) * _BOUNDED_STEP_S + m * m * dim * _GRAM_S)
         else:
             seconds += (m - 1) * _STEP_S + count * m * (m - 1) // 2 * (dim + 1) * _COORD_S
-    w = min(workers, len(tasks))
+    return _repaid(seconds, min(workers, len(tasks)))
+
+
+def _repaid(seconds: float, workers: int) -> int:
+    """The processes, at most workers, that each get _FORK_MIN_S of seconds of estimated work; 1 without os.fork."""
+    w = workers if hasattr(os, "fork") else 1
     while w > 1 and seconds < w * _FORK_MIN_S:
         w -= 1
     return w
 
 
-def _solve_forked(points, metric, tasks, workers) -> list[EdgeList]:
-    """Every task's result, in task order, from this process and workers - 1 forked children.
+def _run_forked(jobs) -> list:
+    """The results of jobs, zero-argument callables, in order: job 0 from this process, each other from a forked child.
 
-    Share s is tasks s, s + workers, ...: this process solves share 0 and a
-    forked child each other share, which it pickles over a pipe in one
-    piece when done, so no child waits on the pipe while this process
-    computes. A child whose share raises pickles the exception and its
-    formatted traceback instead, and this process raises that exception
-    from a RuntimeError that holds the child's traceback. Every child is
-    reaped before return, also when this process fails or is interrupted.
+    Every child is forked before job 0 runs. A child pickles its job's
+    result over a pipe once the job is done, and this process reads the
+    pipes in job order after job 0. A child whose job raises pickles the
+    exception and its formatted traceback instead, and this process raises
+    that exception from a RuntimeError that holds the child's traceback.
+    Every child is reaped before return, also when this process fails or is
+    interrupted.
     """
-    results: list = [None] * len(tasks)
+    results: list = [None] * len(jobs)
     children = []
     try:
-        for s in range(1, workers):
-            children.append(_fork_share(points, metric, tasks, s, workers, children))
-        results[0::workers] = _solve_share(points, metric, tasks, 0, workers)
-        for s, (pid, reader) in enumerate(children, start=1):
+        for job in jobs[1:]:
+            children.append(_fork(job, children))
+        results[0] = jobs[0]()
+        for i, (pid, reader) in enumerate(children, start=1):
             try:
-                done = pickle.load(reader)
+                ok, results[i] = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"worker process {pid} ended without reporting") from None
-            if isinstance(done, tuple):  # the child's exception and its traceback
-                raise done[0] from RuntimeError(f"in worker process {pid}:\n{done[1]}")
-            results[s::workers] = done
+            if not ok:
+                exc, trace = results[i]
+                raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
     finally:
         for pid, reader in children:
             reader.close()
@@ -282,8 +292,8 @@ def _solve_share(points, metric, tasks, s: int, workers: int) -> list[EdgeList]:
     return [results[i] for i in mine]
 
 
-def _fork_share(points, metric, tasks, s: int, workers: int, siblings):
-    """Fork the child that solves share s; returns its pid and the pipe it writes to."""
+def _fork(job, siblings):
+    """Fork the child that runs job; returns its pid and the pipe of its (True, result) or (False, (exc, trace))."""
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -295,13 +305,13 @@ def _fork_share(points, metric, tasks, s: int, workers: int, siblings):
         for _, reader in siblings:
             reader.close()
         try:
-            outcome = _solve_share(points, metric, tasks, s, workers)
+            outcome = True, job()
         except Exception as exc:
             import traceback  # only a failing child pays for the import
 
-            outcome = exc, traceback.format_exc()
+            outcome = False, (exc, traceback.format_exc())
         with os.fdopen(w, "wb") as out:
-            pickle.dump(outcome, out)
+            pickle.dump(outcome, out, protocol=5)  # 5 writes an array's buffer without a bytes copy of it
     finally:
         os._exit(0)
 

@@ -85,7 +85,16 @@ class PointSet:
     __slots__ = ("_coords", "_ids", "_norms", "_units")
 
     def __init__(self, coords, ids=None):
-        arr = np.array(coords, dtype=np.float64, order="C", copy=True)
+        self._init(np.array(coords, dtype=np.float64, order="C", copy=True), ids)
+
+    @classmethod
+    def _adopt(cls, coords: np.ndarray) -> PointSet:
+        """A PointSet over coords itself, which nothing else may hold: checked and made read-only, not copied."""
+        points = cls.__new__(cls)
+        points._init(np.asarray(coords, dtype=np.float64, order="C"), None)
+        return points
+
+    def _init(self, arr: np.ndarray, ids) -> None:
         if arr.ndim != 2:
             raise UsageError(f"coords must be two-dimensional, got shape {arr.shape}")
         if arr.shape[1] < 1:

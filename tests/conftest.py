@@ -9,5 +9,8 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def forking(monkeypatch):
-    """Let a run fork one worker per task however little work they hold, so tiny inputs take the fork path."""
+    """Let a run fork one worker per task, and a csv read one per range, however little work they hold.
+
+    decomposed_mst and read_points share the threshold, so tiny inputs take both fork paths.
+    """
     monkeypatch.setattr("geomst.decompose._FORK_MIN_S", 0.0)

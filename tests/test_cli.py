@@ -579,6 +579,26 @@ def test_domain_error_in_a_worker_exits_2(tmp_path, capsys):
     assert no_child_processes()
 
 
+def test_a_multi_mb_csv_gives_the_same_files_with_one_worker_and_two(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "points.csv"
+    write_points(generate_instance(7, 1000, 300, "gaussian"), str(path))
+    assert path.stat().st_size > 5_000_000  # its estimated parse time repays a second process
+    run_forked, ranges = geomst.io._run_forked, []
+    monkeypatch.setattr(geomst.io, "_run_forked", lambda jobs: ranges.append(len(jobs)) or run_forked(jobs))
+    counters = ("distance_evals", "edges_gathered", "tasks_executed", "combine_input_sizes", "n", "d", "k")
+    written = []
+    for workers in ("1", "2"):
+        out = [tmp_path / f"{name}-{workers}.tsv" for name in ("edges", "merges", "stats")]
+        flags = ["--workers", workers, "--partitions", "4", "--merge", "reduce", "--stats", str(out[2])]
+        argv = ["dendrogram", "--input", str(path), "--output", str(out[0]), "--dendro-output", str(out[1])]
+        assert run(argv + flags, capsys)[0] == 0
+        stats = dict(line.split("=", 1) for line in out[2].read_text(encoding="utf-8").splitlines())
+        written.append((out[0].read_bytes(), out[1].read_bytes(), [stats[key] for key in counters]))
+    assert ranges == [1, 2]
+    assert written[0] == written[1]
+    assert no_child_processes()
+
+
 def test_no_edge_object_is_built_from_kernel_to_file(tmp_path, monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("an EdgeList was iterated edge by edge")

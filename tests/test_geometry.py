@@ -147,6 +147,18 @@ def test_pointset_is_immutable_and_copies_input():
         pts.coords[0, 0] = 1.0
 
 
+def test_an_adopted_array_is_checked_and_made_read_only_not_copied():
+    # The readers' private path: the array is one that nothing else holds.
+    src = np.arange(6.0).reshape(3, 2)
+    pts = PointSet._adopt(src)
+    assert pts.coords is src and not src.flags.writeable
+    assert pts.ids.tolist() == [0, 1, 2]
+    with pytest.raises(DataError, match="point 1"):
+        PointSet._adopt(np.array([[0.0], [np.nan]]))
+    with pytest.raises(UsageError):
+        PointSet._adopt(np.zeros(3))
+
+
 def test_pointset_rejects_non_finite_naming_the_point():
     with pytest.raises(DataError, match="point 1"):
         PointSet([[0.0], [np.nan]])

@@ -2,14 +2,17 @@
 
 import os
 import struct
+import subprocess
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference import no_child_processes
 
 from geomst import (
     DataError,
@@ -202,9 +205,9 @@ def _row_parser_outcome(path):
         return str(exc)
 
 
-def _outcome(path):
+def _outcome(path, workers=None):
     try:
-        return read_points(path).coords
+        return read_points(path, workers=workers).coords
     except DataError as exc:
         return str(exc)
 
@@ -310,6 +313,218 @@ def test_a_plain_csv_is_opened_once(tmp_path, monkeypatch):
     assert opened.count(True) == 1
 
 
+def test_a_plain_csv_is_opened_once_here_when_its_ranges_are_parsed_by_children(tmp_path, monkeypatch, forking):
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(f"{i},{i / 7!r}\n" for i in range(100)), encoding="ascii")
+    opened, forks = [], []
+    real_open, fork = open, os.fork
+
+    def counting(file, *args, **kwargs):
+        opened.append(os.fspath(file) == os.fspath(path))
+        return real_open(file, *args, **kwargs)
+
+    def counted():
+        pid = fork()
+        forks.append(pid)  # only this process returns here: a child ends in os._exit
+        return pid
+
+    monkeypatch.setattr("builtins.open", counting)
+    monkeypatch.setattr(os, "fork", counted)
+    assert read_points(path, workers=3).coords.tobytes() == read_points(path, workers=1).coords.tobytes()
+    # Each child opens the path in its own process, which this list does not see.
+    assert len(forks) == 2 and opened.count(True) == 2
+    assert no_child_processes()
+
+
+def _ranges(path, parts):
+    with open(path, "rb") as fh:
+        return io_module._line_ranges(fh, os.path.getsize(path), parts)
+
+
+def _csv_text(coords, brk, final):
+    return brk.join(",".join(map(fmt_real, row)) for row in coords) + (brk if final else "")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    coords=matrices.filter(len),
+    brk=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    workers=st.integers(min_value=2, max_value=4),
+    chunk=st.sampled_from([1, 40, 1 << 22]),
+)
+def test_a_csv_read_in_ranges_equals_the_read_in_one_process(
+    coords, brk, final, workers, chunk, tmp_path_factory, monkeypatch, forking
+):
+    monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)  # 1 parses each line by its own loadtxt call
+    path = tmp_path_factory.mktemp("shards") / "pts.csv"
+    path.write_bytes(_csv_text(coords, brk, final).encode("ascii"))
+    data = path.read_bytes()
+    bounds = [0] + [end for _, end in _ranges(path, workers)]
+    assert bounds == sorted(set(bounds)) and bounds[-1] == len(data) and len(bounds) <= workers + 1
+    assert all(data[b - 1 : b] == b"\n" for b in bounds[1:-1])
+    want = read_points(path, workers=1).coords
+    assert want.tobytes() == PointSet(coords).coords.tobytes()
+    assert read_points(path, workers=workers).coords.tobytes() == want.tobytes()
+    assert no_child_processes()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_noise | csv_grids, workers=st.integers(min_value=2, max_value=4), chunk=st.sampled_from([1, 40, 1 << 22]))
+def test_a_csv_read_in_ranges_gets_the_row_parsers_outcome(text, workers, chunk, tmp_path_factory, monkeypatch, forking):
+    monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _same(_outcome(path, workers), _row_parser_outcome(path)), repr(text)
+    assert no_child_processes()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n"])
+def test_a_range_per_line_reads_every_line(brk, tmp_path, forking):
+    # Lines of one length put a target byte at the end of every line.
+    path = tmp_path / "lines.csv"
+    path.write_bytes(brk.join(f"{i}.5,-{i}.25" for i in range(6)).encode("ascii") + brk.encode("ascii"))
+    size = len(f"0.5,-0.25{brk}")
+    assert _ranges(path, 6) == [(i * size, (i + 1) * size) for i in range(6)]
+    got = read_points(path, workers=6).coords
+    assert got.tolist() == [[i + 0.5, -i - 0.25] for i in range(6)]
+    assert no_child_processes()
+
+
+def test_a_line_longer_than_a_range_leaves_fewer_ranges(tmp_path, forking):
+    path = tmp_path / "long.csv"
+    long = ",".join(["1.5"] * 400)
+    path.write_text(f"{long}\n{long}", encoding="ascii")
+    # every target byte lies in one of the two lines
+    assert _ranges(path, 4) == [(0, len(long) + 1), (len(long) + 1, 2 * len(long) + 1)]
+    assert read_points(path, workers=4).coords.tobytes() == read_points(path, workers=1).coords.tobytes()
+    path.write_text(f"1,2\n{long}\n3,4\n", encoding="ascii")
+    assert len(_ranges(path, 4)) == 2
+    got = _outcome(path, 4)
+    assert got == _row_parser_outcome(path) and "row 1 has 400 values, expected 2" in got
+    assert no_child_processes()
+
+
+def _two_ranges(path, first, second):
+    """Write the lines of first, then of second, and check that a two-process read splits them there."""
+    head = "".join(line + "\n" for line in first).encode("ascii")
+    tail = "".join(line + "\n" for line in second).encode("latin-1")
+    path.write_bytes(head + tail)
+    assert _ranges(path, 2) == [(0, len(head)), (len(head), len(head) + len(tail))]
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (["1,2"] * 20, ["1,2"] * 18 + ["1,zebra"], "row 38 contains an unparseable value"),
+        (["1,2"] * 20, ["1,2,3"] + ["1,2"] * 18, "row 20 has 3 values, expected 2"),
+        (["1,2"] * 19 + ["1,2,3"], ["1,2"] * 20, "row 19 has 3 values, expected 2"),
+        (["1,2"] * 20, ["1,2,3"] * 13, "row 20 has 3 values, expected 2"),
+        (["1,2"] * 20, [""] + ["1,2"] * 19, "row 20 has 1 values, expected 2"),
+        (["1,2"] * 19 + [""], ["1,2"] * 18 + ["10,2"], "row 19 has 1 values, expected 2"),
+        (["1,2"] * 20, ["1,2"] * 5 + ["1,\xff"] + ["1,2"] * 13, "byte 102 is not valid UTF-8"),
+    ],
+    ids=["bad-value-last-range", "ragged-after", "ragged-before", "widths-differ", "empty-after",
+         "empty-before", "non-utf8-child"],
+)
+def test_a_bad_line_in_either_range_gets_the_row_parsers_error(first, second, message, tmp_path, forking):
+    path = tmp_path / "bad.csv"
+    _two_ranges(path, first, second)
+    got = _outcome(path, 2)
+    assert got == f"{path}: {message}"
+    assert got == _outcome(path, 1)
+    assert no_child_processes()
+
+
+def test_a_non_value_error_in_a_childs_range_is_raised_with_its_traceback(tmp_path, monkeypatch, forking):
+    path = tmp_path / "pts.csv"
+    _two_ranges(path, ["1,2"] * 20, ["3,4"] * 20)
+    parent = os.getpid()
+    parse = io_module._plain_rows
+
+    def patched(fh, start, end, chunk):
+        if os.getpid() != parent:
+            raise LookupError(f"range at byte {start}")
+        return parse(fh, start, end, chunk)
+
+    monkeypatch.setattr(io_module, "_plain_rows", patched)
+    with pytest.raises(LookupError) as caught:
+        read_points(path, workers=2)
+    assert type(caught.value) is LookupError and str(caught.value) == "range at byte 80"
+    cause = caught.value.__cause__
+    assert type(cause) is RuntimeError and "in _plain_range" in str(cause) and "in patched" in str(cause)
+    assert no_child_processes()
+
+
+def test_one_worker_reads_a_csv_without_forking(tmp_path, monkeypatch, forking):
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(f"{i},{i / 7!r}\n" for i in range(100)), encoding="ascii")
+
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert read_points(path, workers=1).coords.shape == (100, 2)
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
+def test_read_points_checks_workers_as_decomposed_mst_does(workers, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("1,2\n", encoding="ascii")
+    with pytest.raises(UsageError, match="workers must be a positive integer"):
+        read_points(path, workers=workers)
+    assert read_points(path, workers=np.int64(3)).count == 1
+
+
+def _peak_rise_mib(tmp_path, read):
+    """How far reading the file at tmp_path / 'pts.*' raises a fresh process's peak RSS, in MiB.
+
+    The peak is the process's VmHWM, not ru_maxrss, which on Linux starts
+    at the spawning process's peak and would hide a rise below it.
+    """
+    script = (
+        "import geomst.decompose\n"
+        "from geomst import read_points\n"
+        "geomst.decompose._FORK_MIN_S = 0.0  # split a csv however small\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
+        f"points = {read}\n"
+        "print((peak() - before) / 1024)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(io_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
+_needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc/self/status")
+
+
+@_needs_vmhwm
+def test_reading_a_vecbin_holds_its_coordinates_once(tmp_path):
+    points = generate_instance(3, 4000, 512, "gaussian")  # 15.6 MiB of coordinates
+    write_points(points, tmp_path / "pts.vecbin")
+    got = read_points(tmp_path / "pts.vecbin")
+    assert got.coords.tobytes() == points.coords.tobytes() and not got.coords.flags.writeable
+    rise = _peak_rise_mib(tmp_path, "read_points('pts.vecbin')")
+    assert 0.5 * points.coords.nbytes / 2**20 < rise < 1.5 * points.coords.nbytes / 2**20  # the read is seen, once
+
+
+@_needs_vmhwm
+def test_a_csv_read_in_ranges_peaks_no_higher_than_the_read_in_one_process(tmp_path):
+    points = generate_instance(4, 3000, 512, "gaussian")  # 11.7 MiB of coordinates, 30 MB of text
+    write_points(points, tmp_path / "pts.csv")
+    one = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=1)")
+    two = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=2)")
+    # Joining two whole ranges would hold half the coordinates more; a chunk
+    # and the forked read's buffers stay well under a quarter.
+    assert 0.5 * points.coords.nbytes / 2**20 < one < 1.5 * points.coords.nbytes / 2**20
+    assert two < one + 0.25 * points.coords.nbytes / 2**20
+
+
 @pytest.mark.parametrize("last", [b"", b"1_0", b"\xff"])
 def test_a_long_plain_csv_with_a_bad_last_line_gets_the_row_parsers_outcome(last, tmp_path):
     path = tmp_path / "tail.csv"
@@ -342,10 +557,8 @@ def test_an_empty_line_gets_the_row_parsers_error(text, row, tmp_path):
     assert got == _row_parser_outcome(path) and f"row {row} " in got
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_a_csv_from_a_pipe_is_read_once(tmp_path):
-    data = "".join(f"{i},{i / 7!r}\n" for i in range(5000)).encode("ascii")  # more than a pipe buffer
-    (tmp_path / "pts.csv").write_bytes(data)
+def _from_a_pipe(data, fmt):
+    """_outcome of reading data, written to a pipe by a thread, as fmt through /dev/fd."""
     r, w = os.pipe()
 
     def feed():
@@ -355,11 +568,34 @@ def test_a_csv_from_a_pipe_is_read_once(tmp_path):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        got = read_points(f"/dev/fd/{r}", "csv")
+        try:
+            return read_points(f"/dev/fd/{r}", fmt).coords
+        except DataError as exc:
+            return str(exc).replace(f"/dev/fd/{r}", "PIPE")
     finally:
         writer.join()
         os.close(r)
-    assert got.coords.tobytes() == read_points(tmp_path / "pts.csv").coords.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_csv_from_a_pipe_is_read_once(tmp_path):
+    data = "".join(f"{i},{i / 7!r}\n" for i in range(5000)).encode("ascii")  # more than a pipe buffer
+    (tmp_path / "pts.csv").write_bytes(data)
+    got = _from_a_pipe(data, "csv")
+    assert got.tobytes() == read_points(tmp_path / "pts.csv").coords.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("cut", [0, 8])
+def test_a_vecbin_from_a_pipe_is_checked_and_read_as_a_file_is(cut, tmp_path):
+    points = generate_instance(2, 3000, 4, "gaussian")  # 96,000 bytes of payload, more than a pipe buffer
+    write_points(points, tmp_path / "pts.vecbin")
+    data = (tmp_path / "pts.vecbin").read_bytes()[: -cut or None]
+    got = _from_a_pipe(data, "vecbin")
+    if cut:
+        assert got == "PIPE: payload is 95992 bytes, header promises 96000"
+    else:
+        assert got.tobytes() == points.coords.tobytes() and not got.flags.writeable
 
 
 @pytest.mark.parametrize(
