@@ -99,10 +99,11 @@ class PointSet:
             raise UsageError(f"coords must be two-dimensional, got shape {arr.shape}")
         if arr.shape[1] < 1:
             raise UsageError("points need at least one dimension")
-        finite_rows = np.isfinite(arr).all(axis=1)
-        if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
-            raise DataError(f"non-finite coordinate in point {bad}")
+        block = max(1, (1 << 18) // arr.shape[1])  # rows whose mask is at most 256 KiB, not n x d bytes
+        for lo in range(0, arr.shape[0], block):
+            finite = np.isfinite(arr[lo : lo + block]).all(axis=1)
+            if not finite.all():
+                raise DataError(f"non-finite coordinate in point {lo + int(np.argmin(finite))}")
         if ids is None:
             id_arr = np.arange(arr.shape[0], dtype=np.int64)
         else:

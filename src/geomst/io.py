@@ -9,13 +9,16 @@ then n*d IEEE-754 doubles row-major.
 Both readers hand PointSet an array that nothing else holds, which it
 checks and makes read-only without a copy, so a read holds the coordinates
 about once. A csv of enough bytes is parsed by up to `workers` processes,
-one byte range each, through decompose's process runner (_read_csv).
+one byte range each, through decompose's process runner, and every range
+is written straight into its rows of one shared result (_read_csv).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import mmap
 import os
 import stat
 import struct
@@ -38,11 +41,9 @@ _PRINTABLE = bytes(range(32, 127))
 # process, 12.6 ns a byte (2-vCPU x86_64, numpy 2.4.6). A read splits the
 # file into as many ranges as get decompose._FORK_MIN_S of the estimate each.
 _PARSE_BYTE_S = 12.6e-9
-# A file read in several ranges is parsed by one loadtxt call per this many
-# bytes of lines, so joining the ranges holds one chunk beside the result,
-# not a second copy of every range. At 4 MiB of text a chunk of repr'd
-# doubles is about 1.6 MiB; glibc kept the heap pages of freed 0.2 MiB
-# chunks (512 KiB of text), which brought the second copy back.
+# A range is parsed by one loadtxt call per this many bytes of lines, and
+# each chunk is copied into its rows and freed before the next, so a read
+# holds one chunk beside the result: about 1.6 MiB of repr'd doubles.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -87,14 +88,16 @@ def _read_csv(path, workers: int) -> PointSet:
     bit for bit where both accept. loadtxt refuses underscores and
     non-ASCII digits, which float() accepts, and skips empty lines, which
     the row parser refuses. So loadtxt reads a regular file through
-    _plain_rows, which refuses the first line that is not plain. The file is
-    split into byte ranges that end just after a "\\n" (_line_ranges), one
-    per process that the estimated parse time (_PARSE_BYTE_S) repays, up to
-    workers: this process opens the path once and parses range 0, and a
-    forked child per other range opens the path itself. Every other file (a
-    pipe unread), a ValueError from any range and ranges of different widths
-    go to the row parser, which reads the whole file and is the reference
-    for what is accepted and for every error message, so row numbers stay
+    _plain_rows, which refuses the first line that is not plain. One read
+    (_line_ranges) splits the file into ranges that end just after a "\\n",
+    one per process the estimated parse time (_PARSE_BYTE_S) repays, up to
+    workers, and counts their lines. Each range is parsed straight into its
+    rows of one result, (lines, width of the first line) doubles in
+    anonymous shared memory: this process opens the path once and fills
+    range 0, and a forked child per other range opens the path itself.
+    Every other file (a pipe unread) and a ValueError from any range go to
+    the row parser, which reads the whole file and is the reference for
+    what is accepted and for every error message, so row numbers stay
     those of the file.
     """
     coords = None
@@ -102,13 +105,19 @@ def _read_csv(path, workers: int) -> PointSet:
     if stat.S_ISREG(info.st_mode) and info.st_size:
         with open(path, "rb") as fh:
             ranges = _line_ranges(fh, info.st_size, _repaid(info.st_size * _PARSE_BYTE_S, workers))
-            chunk = _CHUNK_BYTES if len(ranges) > 1 else info.st_size  # one range is one array, never copied
-            jobs = [functools.partial(_plain_rows, fh, *ranges[0], chunk)]
-            jobs += [functools.partial(_plain_range, path, *r, chunk) for r in ranges[1:]]
-            try:
-                coords = _joined(_run_forked(jobs))
-            except ValueError:
-                pass
+            fh.seek(0)
+            width = fh.readline().count(b",") + 1
+            n = sum(lines for *_, lines in ranges)
+            # A plain line of width fields holds 2 * width - 1 bytes or more.
+            if 0 < n * (2 * width - 1) <= info.st_size:
+                coords = np.frombuffer(mmap.mmap(-1, n * width * 8), np.float64).reshape(n, width)
+                parts = np.split(coords, np.cumsum([lines for *_, lines in ranges[:-1]]))
+                jobs = [functools.partial(_plain_rows, fh, *ranges[0][:2], parts[0])]
+                jobs += [functools.partial(_plain_range, path, *r[:2], part) for r, part in zip(ranges[1:], parts[1:])]
+                try:
+                    _run_forked(jobs)
+                except ValueError:
+                    coords = None
     if coords is None:
         lines = _read_lines(path)
         if not lines:
@@ -117,87 +126,74 @@ def _read_csv(path, workers: int) -> PointSet:
     return PointSet._adopt(coords)
 
 
-def _line_ranges(fh, size: int, parts: int) -> list[tuple[int, int]]:
-    """At most parts non-empty (start, end) byte ranges that cover the file in order.
+def _line_ranges(fh, size: int, parts: int) -> list[tuple[int, int, int]]:
+    """At most parts non-empty (start, end, lines) byte ranges that cover the file in order.
 
     Range i ends just after the first "\\n" at or after byte (i + 1) * size
     // parts - 1, or at the end; a line that holds several of those bytes
     leaves fewer ranges. The format has no quoting, so the split is exact.
+    lines counts the range's "\\n" bytes, and a last line without one.
     """
-    bounds = [0]
-    for i in range(1, parts):
-        at = i * size // parts - 1
-        if at >= bounds[-1]:  # else the last range's last line holds that byte
-            fh.seek(at)
-            fh.readline()
-            bounds.append(fh.tell())
-    if bounds[-1] < size:
-        bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
+    buf = bytearray(1 << 18)  # a 4 MiB buffer raised a read's peak RSS by 2.1 MiB
+    targets = [i * size // parts - 1 for i in range(1, parts)]
+    ranges, start, lines, pos = [], 0, 0, 0
+    fh.seek(0)
+    while got := fh.readinto(buf):
+        at = 0  # bytes of buf before at are counted
+        while (k := bisect.bisect_left(targets, start)) < len(targets):
+            brk = buf.find(b"\n", max(targets[k] - pos, at), got)
+            if brk < 0:
+                break
+            lines += buf.count(b"\n", at, brk + 1)
+            at = brk + 1
+            ranges.append((start, pos + at, lines))
+            start, lines = pos + at, 0
+        lines += buf.count(b"\n", at, got)
+        pos, tail = pos + got, buf[got - 1]
+    if start < pos:
+        ranges.append((start, pos, lines + (tail != ord("\n"))))
+    return ranges
 
 
-def _plain_range(path, start: int, end: int, chunk: int) -> list[np.ndarray]:
+def _plain_range(path, start: int, end: int, rows: np.ndarray) -> None:
     """_plain_rows of bytes start..end of the file at path, through a file offset of its own."""
     with open(path, "rb") as fh:
-        return _plain_rows(fh, start, end, chunk)
+        _plain_rows(fh, start, end, rows)
 
 
-def _plain_rows(fh, start: int, end: int, chunk: int) -> list[np.ndarray]:
-    """loadtxt's coordinates of the lines in bytes start..end of fh, an array per chunk bytes of lines, or ValueError.
+def _plain_rows(fh, start: int, end: int, rows: np.ndarray) -> None:
+    """Fill rows with loadtxt's coordinates of the lines in bytes start..end of fh, _CHUNK_BYTES a call, or raise ValueError.
 
     The stream raises ValueError at the first line that is not non-empty
-    printable ASCII before a "\\n" or "\\r\\n" break or the end, and a row
-    count other than the lines passed, or a file that ends before end, is
-    a ValueError too.
+    printable ASCII before a "\\n" or "\\r\\n" break or the end, and so
+    do a file that ends before end, a chunk of another width than rows,
+    and lines that fill more or fewer than all of rows.
     """
-    rows = 0
 
     def plain_lines(stop):
-        nonlocal rows, start
+        nonlocal start
         for line in fh:
             # What is not printable ASCII in a plain line is its "\n" or "\r\n" at the end, or nothing.
             brk = line.translate(None, _PRINTABLE)
             if brk != b"\n" and not (brk in (b"\r\n", b"") and line.endswith(brk)) or len(brk) == len(line):
-                raise ValueError(f"line {rows} is not plain")
-            rows += 1
+                raise ValueError(f"the line at byte {start} is not plain")
             start += len(line)
             yield line.decode()
             if start >= stop:
                 return
         raise ValueError("the file ended early")
 
-    chunks = []
+    at = 0
     fh.seek(start)
     while start < end:
-        rows = 0
-        lines = plain_lines(min(start + chunk, end))
-        coords = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        if coords.shape[0] != rows:
-            raise ValueError(f"{rows} lines gave {coords.shape[0]} rows")
-        chunks.append(coords)
-    return chunks
-
-
-def _joined(parts: list) -> np.ndarray | None:
-    """The chunks of every range's rows as one array, or None if their widths differ.
-
-    Each chunk is released once it is copied, so beside the result a read
-    holds at most one chunk, not a second copy of every range. The caller
-    passes parts, the runner's list, on and keeps no reference to it.
-    """
-    chunks = [chunk for part in parts for chunk in part]
-    del parts
-    if len({c.shape[1] for c in chunks}) != 1:
-        return None
-    if len(chunks) == 1:
-        return chunks[0]
-    out = np.empty((sum(map(len, chunks)), chunks[0].shape[1]))
-    at = 0
-    for i in range(len(chunks)):
-        chunk, chunks[i] = chunks[i], None
-        out[at : at + len(chunk)] = chunk
+        chunk = np.loadtxt(plain_lines(min(start + _CHUNK_BYTES, end)), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        if chunk.shape[1] != rows.shape[1]:  # one column would broadcast into all of rows
+            raise ValueError(f"a chunk of width {chunk.shape[1]} for rows of {rows.shape[1]}")
+        rows[at : at + len(chunk)] = chunk  # too many rows: ValueError here, or below if none were left
         at += len(chunk)
-    return out
+        del chunk  # held through the next call, it raised a read's peak RSS by 1.2 MiB
+    if at != len(rows):
+        raise ValueError(f"the lines gave {at} of {len(rows)} rows")
 
 
 def _read_lines(path) -> list[str]:

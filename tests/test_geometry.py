@@ -90,6 +90,13 @@ def test_non_finite_coordinate_is_data_error(name, bad):
         distance(Metric(name), [0.0, 1.0], [1.0, bad])
 
 
+def test_a_non_finite_coordinate_past_the_first_block_is_named_by_its_row():
+    coords = np.zeros((5, 2**17))  # two rows to each 256 KiB block of the finiteness mask
+    coords[3, 7], coords[4, 0] = np.inf, np.nan
+    with pytest.raises(DataError, match=r"non-finite coordinate in point 3$"):
+        PointSet(coords)
+
+
 def test_unknown_metric_rejected():
     with pytest.raises(UsageError):
         Metric("minkowski")

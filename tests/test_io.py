@@ -316,8 +316,8 @@ def test_a_plain_csv_is_opened_once(tmp_path, monkeypatch):
 def test_a_plain_csv_is_opened_once_here_when_its_ranges_are_parsed_by_children(tmp_path, monkeypatch, forking):
     path = tmp_path / "pts.csv"
     path.write_text("".join(f"{i},{i / 7!r}\n" for i in range(100)), encoding="ascii")
-    opened, forks = [], []
-    real_open, fork = open, os.fork
+    opened, forks, results = [], [], []
+    real_open, fork, run_forked = open, os.fork, io_module._run_forked
 
     def counting(file, *args, **kwargs):
         opened.append(os.fspath(file) == os.fspath(path))
@@ -330,9 +330,12 @@ def test_a_plain_csv_is_opened_once_here_when_its_ranges_are_parsed_by_children(
 
     monkeypatch.setattr("builtins.open", counting)
     monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(io_module, "_run_forked", lambda jobs: results.append(run_forked(jobs)) or results[-1])
     assert read_points(path, workers=3).coords.tobytes() == read_points(path, workers=1).coords.tobytes()
     # Each child opens the path in its own process, which this list does not see.
     assert len(forks) == 2 and opened.count(True) == 2
+    # Every range writes its rows into the one shared result: no job returns coordinates.
+    assert results == [[None] * 3, [None]]
     assert no_child_processes()
 
 
@@ -360,8 +363,10 @@ def test_a_csv_read_in_ranges_equals_the_read_in_one_process(
     path = tmp_path_factory.mktemp("shards") / "pts.csv"
     path.write_bytes(_csv_text(coords, brk, final).encode("ascii"))
     data = path.read_bytes()
-    bounds = [0] + [end for _, end in _ranges(path, workers)]
+    ranges = _ranges(path, workers)
+    bounds = [0] + [end for _, end, _ in ranges]
     assert bounds == sorted(set(bounds)) and bounds[-1] == len(data) and len(bounds) <= workers + 1
+    assert [lines for *_, lines in ranges] == [data.count(b"\n", s, e) + (data[e - 1 : e] != b"\n") for s, e, _ in ranges]
     assert all(data[b - 1 : b] == b"\n" for b in bounds[1:-1])
     want = read_points(path, workers=1).coords
     assert want.tobytes() == PointSet(coords).coords.tobytes()
@@ -385,7 +390,7 @@ def test_a_range_per_line_reads_every_line(brk, tmp_path, forking):
     path = tmp_path / "lines.csv"
     path.write_bytes(brk.join(f"{i}.5,-{i}.25" for i in range(6)).encode("ascii") + brk.encode("ascii"))
     size = len(f"0.5,-0.25{brk}")
-    assert _ranges(path, 6) == [(i * size, (i + 1) * size) for i in range(6)]
+    assert _ranges(path, 6) == [(i * size, (i + 1) * size, 1) for i in range(6)]
     got = read_points(path, workers=6).coords
     assert got.tolist() == [[i + 0.5, -i - 0.25] for i in range(6)]
     assert no_child_processes()
@@ -396,7 +401,7 @@ def test_a_line_longer_than_a_range_leaves_fewer_ranges(tmp_path, forking):
     long = ",".join(["1.5"] * 400)
     path.write_text(f"{long}\n{long}", encoding="ascii")
     # every target byte lies in one of the two lines
-    assert _ranges(path, 4) == [(0, len(long) + 1), (len(long) + 1, 2 * len(long) + 1)]
+    assert _ranges(path, 4) == [(0, len(long) + 1, 1), (len(long) + 1, 2 * len(long) + 1, 1)]
     assert read_points(path, workers=4).coords.tobytes() == read_points(path, workers=1).coords.tobytes()
     path.write_text(f"1,2\n{long}\n3,4\n", encoding="ascii")
     assert len(_ranges(path, 4)) == 2
@@ -410,7 +415,7 @@ def _two_ranges(path, first, second):
     head = "".join(line + "\n" for line in first).encode("ascii")
     tail = "".join(line + "\n" for line in second).encode("latin-1")
     path.write_bytes(head + tail)
-    assert _ranges(path, 2) == [(0, len(head)), (len(head), len(head) + len(tail))]
+    assert _ranges(path, 2) == [(0, len(head), len(first)), (len(head), len(head) + len(tail), len(second))]
 
 
 @pytest.mark.parametrize(
@@ -423,9 +428,10 @@ def _two_ranges(path, first, second):
         (["1,2"] * 20, [""] + ["1,2"] * 19, "row 20 has 1 values, expected 2"),
         (["1,2"] * 19 + [""], ["1,2"] * 18 + ["10,2"], "row 19 has 1 values, expected 2"),
         (["1,2"] * 20, ["1,2"] * 5 + ["1,\xff"] + ["1,2"] * 13, "byte 102 is not valid UTF-8"),
+        (["1,2"] * 20, ["7.25"] * 16, "row 20 has 1 values, expected 2"),  # one column would broadcast into two
     ],
     ids=["bad-value-last-range", "ragged-after", "ragged-before", "widths-differ", "empty-after",
-         "empty-before", "non-utf8-child"],
+         "empty-before", "non-utf8-child", "one-column-after"],
 )
 def test_a_bad_line_in_either_range_gets_the_row_parsers_error(first, second, message, tmp_path, forking):
     path = tmp_path / "bad.csv"
@@ -442,10 +448,10 @@ def test_a_non_value_error_in_a_childs_range_is_raised_with_its_traceback(tmp_pa
     parent = os.getpid()
     parse = io_module._plain_rows
 
-    def patched(fh, start, end, chunk):
+    def patched(fh, start, end, rows):
         if os.getpid() != parent:
             raise LookupError(f"range at byte {start}")
-        return parse(fh, start, end, chunk)
+        return parse(fh, start, end, rows)
 
     monkeypatch.setattr(io_module, "_plain_rows", patched)
     with pytest.raises(LookupError) as caught:
@@ -454,6 +460,30 @@ def test_a_non_value_error_in_a_childs_range_is_raised_with_its_traceback(tmp_pa
     cause = caught.value.__cause__
     assert type(cause) is RuntimeError and "in _plain_range" in str(cause) and "in patched" in str(cause)
     assert no_child_processes()
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_range_whose_lines_differ_from_its_count_goes_to_the_row_parser(off, tmp_path, monkeypatch, forking):
+    # As when the file changes between the count and the parse.
+    path = tmp_path / "pts.csv"
+    _two_ranges(path, ["1,2"] * 20, ["3,4"] * 20)
+    count, parsed = io_module._line_ranges, []
+    monkeypatch.setattr(io_module, "_line_ranges", lambda *args: [(s, e, n + off) for s, e, n in count(*args)])
+    monkeypatch.setattr(io_module, "_parse_rows", lambda path, lines: parsed.append(len(lines)) or _parse_rows(path, lines))
+    assert read_points(path, workers=2).coords.tolist() == [[1.0, 2.0]] * 20 + [[3.0, 4.0]] * 20
+    assert parsed == [40]
+    assert no_child_processes()
+
+
+def test_a_csv_too_short_for_its_first_lines_width_maps_no_result(tmp_path, monkeypatch):
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["1"] * 1000) + "\n" + "2\n" * 5000, encoding="ascii")
+
+    def refuse(*args):
+        raise AssertionError("5001 rows of 1000 doubles were mapped for a 22 kB file")
+
+    monkeypatch.setattr(io_module.mmap, "mmap", refuse)
+    assert _outcome(path) == f"{path}: row 1 has 1 values, expected 1000"
 
 
 def test_one_worker_reads_a_csv_without_forking(tmp_path, monkeypatch, forking):
@@ -476,11 +506,13 @@ def test_read_points_checks_workers_as_decomposed_mst_does(workers, tmp_path):
     assert read_points(path, workers=np.int64(3)).count == 1
 
 
-def _peak_rise_mib(tmp_path, read):
-    """How far reading the file at tmp_path / 'pts.*' raises a fresh process's peak RSS, in MiB.
+def _peak_rise_mib(tmp_path, read, reads=1):
+    """How far each of reads reads of the file at tmp_path / 'pts.*' raises a fresh process's peak RSS, in MiB.
 
-    The peak is the process's VmHWM, not ru_maxrss, which on Linux starts
-    at the spawning process's peak and would hide a rise below it.
+    Each read is measured from the peak before the first, and its points
+    are dropped before the next. The peak is the process's VmHWM, not
+    ru_maxrss, which on Linux starts at the spawning process's peak and
+    would hide a rise below it.
     """
     script = (
         "import geomst.decompose\n"
@@ -490,14 +522,16 @@ def _peak_rise_mib(tmp_path, read):
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
         "before = peak()\n"
-        f"points = {read}\n"
-        "print((peak() - before) / 1024)\n"
+        f"for _ in range({reads}):\n"
+        f"    points = {read}\n"
+        "    del points\n"
+        "    print((peak() - before) / 1024)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(io_module.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return float(done.stdout)
+    return [float(rise) for rise in done.stdout.split()]
 
 
 _needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc/self/status")
@@ -509,7 +543,7 @@ def test_reading_a_vecbin_holds_its_coordinates_once(tmp_path):
     write_points(points, tmp_path / "pts.vecbin")
     got = read_points(tmp_path / "pts.vecbin")
     assert got.coords.tobytes() == points.coords.tobytes() and not got.coords.flags.writeable
-    rise = _peak_rise_mib(tmp_path, "read_points('pts.vecbin')")
+    [rise] = _peak_rise_mib(tmp_path, "read_points('pts.vecbin')")
     assert 0.5 * points.coords.nbytes / 2**20 < rise < 1.5 * points.coords.nbytes / 2**20  # the read is seen, once
 
 
@@ -517,12 +551,30 @@ def test_reading_a_vecbin_holds_its_coordinates_once(tmp_path):
 def test_a_csv_read_in_ranges_peaks_no_higher_than_the_read_in_one_process(tmp_path):
     points = generate_instance(4, 3000, 512, "gaussian")  # 11.7 MiB of coordinates, 30 MB of text
     write_points(points, tmp_path / "pts.csv")
-    one = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=1)")
-    two = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=2)")
+    [one] = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=1)")
+    [two] = _peak_rise_mib(tmp_path, "read_points('pts.csv', workers=2)")
     # Joining two whole ranges would hold half the coordinates more; a chunk
     # and the forked read's buffers stay well under a quarter.
     assert 0.5 * points.coords.nbytes / 2**20 < one < 1.5 * points.coords.nbytes / 2**20
     assert two < one + 0.25 * points.coords.nbytes / 2**20
+
+
+@_needs_vmhwm
+def test_reading_a_vecbin_peaks_below_its_coordinates_and_a_mib(tmp_path):
+    points = generate_instance(3, 4000, 512, "gaussian")  # 15.6 MiB of coordinates
+    write_points(points, tmp_path / "pts.vecbin")
+    # The finiteness check holds a block's mask, not an n x d one (2 MiB here).
+    [rise] = _peak_rise_mib(tmp_path, "read_points('pts.vecbin')")
+    assert rise < points.coords.nbytes / 2**20 + 1
+
+
+@_needs_vmhwm
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reading_a_csv_again_peaks_within_a_mib_of_the_first_read(workers, tmp_path):
+    write_points(generate_instance(3, 4000, 512, "gaussian"), tmp_path / "pts.csv")  # 15.6 MiB of coordinates
+    # Memory that the allocator keeps from one read must serve the next.
+    first, *later = _peak_rise_mib(tmp_path, f"read_points('pts.csv', workers={workers})", reads=4)
+    assert all(rise < first + 1 for rise in later), (first, later)
 
 
 @pytest.mark.parametrize("last", [b"", b"1_0", b"\xff"])
