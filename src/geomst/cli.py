@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="sweep block counts on a generated instance")
-    p.add_argument("--n", type=int, required=True, help="points to generate (at least 2)")
+    p.add_argument("--n", type=_int("n"), required=True, help="points to generate (at least 2)")
     p.add_argument("--dim", type=_int("dim", 1), required=True)
     _add_shared_flags(p)
     p.add_argument(

@@ -14,9 +14,8 @@ Communication is counted, not transported: edges_gathered measures what a
 distributed deployment would move. With more than one worker the tasks run
 in forked processes, so the Python bookkeeping of each Prim step runs in
 parallel too, not only the numpy arithmetic that releases the GIL. Share s
-is tasks s, s + w, ...; a share solves tasks whose steps dense_mst bounds
-one by one, and the others in one dense.lockstep_mst call per task size,
-one step for many of them. The forest lists are merged in task order
+is tasks s, s + w, ..., solved by one dense.lockstep_mst call, which
+chooses each task's kernel. The forest lists are merged in task order
 whatever order the shares finish in.
 
 _run_forked is the package's one process runner; io's csv reader uses it
@@ -28,8 +27,8 @@ one job, as with one worker, one block or where os.fork does not exist,
 it forks nothing. It needs neither multiprocessing nor a `__main__` guard.
 
 A fork costs CPU time of its own, so a run forks only as many processes
-as its estimated work repays (_repaid, with the task estimate in
-_processes); the measurements behind the rule are beside its constants.
+as its estimated work (dense.estimated_seconds) repays (_repaid); the
+measurements behind the rule are beside _FORK_MIN_S.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ import os
 import pickle
 import signal
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_mst, has_step_bound, lockstep_mst
+from .dense import estimated_seconds, lockstep_mst
+from .dense import dense_mst  # noqa: F401  benchmark/layers.py wraps this name; nothing here calls it
 from .errors import DataError, UsageError
 from .geometry import Metric, PointSet, _int64_array, _integer
 from .graph import EdgeList, kruskal, merges
@@ -56,18 +55,8 @@ from .stats import RunStats
 MERGE_STRATEGIES = ("gather", "reduce")
 PARTITION_STRATEGIES = ("contiguous", "shuffled")
 
-# Estimated one-process CPU seconds of task work. The costs were fitted by
-# least squares on relative error to the one-process CPU time of 60 task
-# lists (tasks of 64 to 1500 points, d = 2 to 768, euclidean and manhattan,
-# one BLAS thread, 2-vCPU x86_64); every estimate fell within 0.49 to 1.63
-# of its measurement, the small tasks, whose fixed costs the terms leave
-# out, lowest.
-_STEP_S = 10.2e-6  # per Prim step; a lockstep group steps once for all its tasks
-_BOUNDED_STEP_S = 18.9e-6  # per step of a task whose steps are bounded
-_COORD_S = 4.56e-9  # per coordinate of an evaluated pair, and one more for its update
-_GRAM_S = 5.23e-11  # per multiply-add of a bounded task's m * m * d dot products
-# Each process of a run must get this much of the estimate, or it forks
-# fewer. A fork costs about 10 ms of CPU (n = 128, d = 16 manhattan, k = 4:
+# Each process of a run must get this much of its estimated CPU time, or it
+# forks fewer. A fork costs about 10 ms of CPU (n = 128, d = 16 manhattan, k = 4:
 # 4.4 ms with one worker, 14.4 ms with two, same host). With both vCPUs
 # running, two processes beat one from an estimate of 24-41 ms (n = 600, k = 4 at
 # d = 16 manhattan, 64 and 256); at d = 2, where a split lockstep group
@@ -157,7 +146,7 @@ def decomposed_mst(
     pair, or a single block as the one task. workers, a positive int or
     numpy integer, defaults to usable_cores() and is an upper bound: it is
     capped at the task count, at the processes the tasks' estimated work
-    repays (_processes), and at 1 where os.fork does not exist. This process
+    repays (_repaid), and at 1 where os.fork does not exist. This process
     solves every w-th task and w - 1 forked children the rest, all reaped
     before return; with w = 1 nothing is forked. stats.workers is w, an int.
     """
@@ -174,12 +163,12 @@ def decomposed_mst(
 
     blocks = part.blocks
     tasks = [np.concatenate(pair) for pair in itertools.combinations(blocks, 2)] or [blocks[0]]
-    workers = _processes(tasks, metric, points.dim, workers)
+    workers = _repaid(estimated_seconds(metric, points.dim, [t.size for t in tasks]), min(workers, len(tasks)))
     if points.count > 1:
         # As the oracle checks it, so no task fails on data; caches cosine's unit rows.
         metric.check_domain(points)
     task_trees: list = [None] * len(tasks)
-    shares = [functools.partial(_solve_share, points, metric, tasks, s, workers) for s in range(workers)]
+    shares = [functools.partial(lockstep_mst, points, metric, tasks[s::workers]) for s in range(workers)]
     for s, share in enumerate(_run_forked(shares)):
         task_trees[s::workers] = share
 
@@ -209,24 +198,6 @@ def decomposed_mst(
 
     stats.wall_time = time.perf_counter() - started
     return tree, stats
-
-
-def _processes(tasks, metric: Metric, dim: int, workers: int) -> int:
-    """The processes, at most workers and one per task, that the tasks' estimated work repays.
-
-    The estimate is the tasks' CPU time in one process: a group of tasks of
-    one size steps once if unbounded (dense_mst alone or lockstep) and
-    evaluates every pair; a bounded task steps alone and its bound costs about
-    a Gram's multiply-adds.
-    """
-    bounded = has_step_bound(metric, dim)
-    seconds = 0.0
-    for m, count in Counter(t.size for t in tasks).items():
-        if bounded:
-            seconds += count * ((m - 1) * _BOUNDED_STEP_S + m * m * dim * _GRAM_S)
-        else:
-            seconds += (m - 1) * _STEP_S + count * m * (m - 1) // 2 * (dim + 1) * _COORD_S
-    return _repaid(seconds, min(workers, len(tasks)))
 
 
 def _repaid(seconds: float, workers: int) -> int:
@@ -271,25 +242,6 @@ def _run_forked(jobs) -> list:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
     return results
-
-
-def _solve_share(points, metric, tasks, s: int, workers: int) -> list[EdgeList]:
-    """Results of tasks s, s + workers, ... in order.
-
-    dense_mst solves tasks whose steps it bounds one by one. Otherwise the
-    share makes one lockstep_mst call per task size, the sizes in the order
-    of their first task; a size with one task reaches dense_mst from there.
-    """
-    mine = range(s, len(tasks), workers)
-    if has_step_bound(metric, points.dim):
-        return [dense_mst(points, metric, subset=tasks[i]) for i in mine]
-    groups: dict = {}
-    for i in mine:
-        groups.setdefault(len(tasks[i]), []).append(i)
-    results = {}
-    for group in groups.values():
-        results.update(zip(group, lockstep_mst(points, metric, [tasks[i] for i in group])))
-    return [results[i] for i in mine]
 
 
 def _fork(job, siblings):

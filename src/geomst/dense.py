@@ -39,7 +39,7 @@ An overflowed distance is inf, which every finite weight precedes, so Prim
 runs on and the EdgeList leaves the inf edges out: the minimum spanning
 forest of the finite-distance pairs. np.errstate keeps numpy quiet.
 
-Lockstep. lockstep_mst advances T tasks of one size together, so one numpy
+Lockstep. _lockstep_run advances T tasks of one size together, so one numpy
 call of a step serves all of them. Task i's slot j holds its coordinates,
 its frontier weight and the local indices (into task i's rows, exact as
 floats) of its vertex and of that weight's source, in one (T, m, d + 3)
@@ -60,9 +60,11 @@ chose, with its weight and source; each task's m*(m-1)/2 pairs are
 counted by the caller, over its task list. A step costs about
 c(T) = 30 us + 5.9 us * T (m = 750, d = 2 euclidean, T = 1..28, 2-vCPU
 x86_64), against 22.6 us for a step of the loop above, so a lone task keeps
-that loop. lockstep_mst runs as many tasks at once as fit _LOCKSTEP_MAX_BYTES,
-and tasks whose steps are bounded stay on dense_mst (has_step_bound): the
-bound keeps per-task state, and T Grams at once would hold T times the memory.
+that loop. lockstep_mst takes any tasks and chooses each one's kernel:
+tasks whose steps are bounded stay on dense_mst one by one (has_step_bound),
+since the bound keeps per-task state and T Grams at once would hold T times
+the memory; the others run by size, as many at once as fit
+_LOCKSTEP_MAX_BYTES, and estimated_seconds is the CPU time of that choice.
 
 Step bound. For euclidean, squared_euclidean and cosine_distance (on unit
 rows) from d = _BOUND_FROM up, a step first bounds every frontier row from
@@ -137,6 +139,8 @@ can overflow.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .geometry import Metric, PointSet, subset_indices
@@ -165,6 +169,17 @@ _GRAM_MAX_BYTES = 128 * 2**20
 # A lockstep run holds every task's rows, and each step a distance block of
 # that size; this caps both.
 _LOCKSTEP_MAX_BYTES = 8 * 2**20
+
+# Estimated one-process CPU seconds of task work. The costs were fitted by
+# least squares on relative error to the one-process CPU time of 60 task
+# lists (tasks of 64 to 1500 points, d = 2 to 768, euclidean and manhattan,
+# one BLAS thread, 2-vCPU x86_64); every estimate fell within 0.49 to 1.63
+# of its measurement, the small tasks, whose fixed costs the terms leave
+# out, lowest.
+_STEP_S = 10.2e-6  # per Prim step; a lockstep group steps once for all its tasks
+_BOUNDED_STEP_S = 18.9e-6  # per step of a task whose steps are bounded
+_COORD_S = 4.56e-9  # per coordinate of an evaluated pair, and one more for its update
+_GRAM_S = 5.23e-11  # per multiply-add of a bounded task's m * m * d dot products
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -271,22 +286,54 @@ def has_step_bound(metric: Metric, dim: int) -> bool:
     return dim >= _BOUND_FROM and metric.kind in _BOUND_SCALE
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def lockstep_mst(points: PointSet, metric: Metric, subsets) -> list[EdgeList]:
-    """dense_mst of every subset, with each numpy call of a step serving many.
+    """dense_mst of every subset, in order, with each numpy call of a step serving many where it can.
 
-    subsets is a list of index sequences of one size, and the metric has no
-    step bound at the points' dimension. The tasks run in order, as many at
-    once as fit _LOCKSTEP_MAX_BYTES; a run of one goes to dense_mst. Returns
-    the forests in order.
+    Tasks whose steps dense_mst bounds go to it one by one. The others are
+    grouped by size, the sizes in the order of their first task, and each
+    group runs in chunks of as many tasks as fit _LOCKSTEP_MAX_BYTES; a
+    chunk of one goes to dense_mst.
     """
-    rows = np.stack([subset_indices(points, subset) for subset in subsets])
+    if has_step_bound(metric, points.dim):
+        return [dense_mst(points, metric, subset=subset) for subset in subsets]
+    groups: dict = {}
+    for i, subset in enumerate(subsets):
+        idx = subset_indices(points, subset)
+        groups.setdefault(idx.size, []).append((i, idx))
+    forests: list = [None] * len(subsets)
+    for m, group in groups.items():
+        width = max(1, _LOCKSTEP_MAX_BYTES // (8 * max(m, 1) * (points.dim + 3)))
+        for c in range(0, len(group), width):
+            order, rows = zip(*group[c : c + width])
+            if len(rows) == 1:
+                forests[order[0]] = dense_mst(points, metric, subset=rows[0])
+            else:
+                for i, forest in zip(order, _lockstep_run(points, metric, np.stack(rows))):
+                    forests[i] = forest
+    return forests
+
+
+def estimated_seconds(metric: Metric, dim: int, sizes) -> float:
+    """lockstep_mst's estimated one-process CPU seconds on tasks of these sizes.
+
+    A group of unbounded tasks of one size steps once (dense_mst alone or
+    lockstep) and evaluates every pair; a bounded task steps alone and its
+    bound costs about a Gram's multiply-adds.
+    """
+    bounded = has_step_bound(metric, dim)
+    seconds = 0.0
+    for m, count in Counter(sizes).items():
+        if bounded:
+            seconds += count * ((m - 1) * _BOUNDED_STEP_S + m * m * dim * _GRAM_S)
+        else:
+            seconds += (m - 1) * _STEP_S + count * m * (m - 1) // 2 * (dim + 1) * _COORD_S
+    return seconds
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[EdgeList]:
+    """The forests of T > 1 unbounded tasks of one size; row i of the (T, m) rows holds task i's indices."""
     T, m = rows.shape
-    width = max(1, _LOCKSTEP_MAX_BYTES // (8 * m * (points.dim + 3)))
-    if T > width:
-        return [f for run in np.split(rows, range(width, T, width)) for f in lockstep_mst(points, metric, run)]
-    if T == 1:
-        return [dense_mst(points, metric, subset=rows[0])]
     metric.check_domain(points, rows.reshape(-1))
     d = points.dim
     gids = points.ids[rows]

@@ -331,6 +331,7 @@ U64_RANGE = f"seed must be an integer in 0..{2**64 - 1}"
         ("mst", "--seed", "-1", f"{U64_RANGE}, got -1"),
         ("mst", "--seed", str(2**64), f"{U64_RANGE}, got {2**64}"),
         ("mst", "--seed", "x", "invalid integer value: 'x'"),
+        ("bench", "--n", "x", "invalid integer value: 'x'"),
     ],
 )
 def test_integer_flags_refuse_with_the_library_wording(tmp_path, capsys, command, flag, value, wording):

@@ -334,7 +334,7 @@ def test_workers_do_not_change_the_answer(forking):
     [
         ("manhattan", 3, None, True),
         # 4 tasks of 23 or 24 points in 3 + 3 floats each fit 4608 bytes, so
-        # lockstep_mst splits each group into runs of 4
+        # each size runs in chunks of 4
         ("manhattan", 3, 4608, True),
         # tasks whose steps are bounded are solved one by one
         ("euclidean", 32, None, False),
@@ -348,20 +348,29 @@ def test_a_share_batches_its_tasks_by_size_and_each_gets_its_own_tree(name, d, c
     assert dense_module.has_step_bound(m, d) != lockstep
     blocks = make_partition(70, 6).blocks  # four blocks of 12 points, two of 11
     tasks = [np.concatenate((a, b)) for a, b in combinations(blocks, 2)]
-    calls = []
-    name = "lockstep_mst" if lockstep else "dense_mst"
-    solve = getattr(decompose, name)
+    runs, lone = [], []
+    run, dense = dense_module._lockstep_run, dense_module.dense_mst
 
-    def recording(points, metric, subsets=None, **kwargs):
-        calls.append(subsets if lockstep else kwargs["subset"])
-        return solve(points, metric, subsets, **kwargs)
+    def recording_run(points, metric, rows):
+        runs.append([len(r) for r in rows])
+        return run(points, metric, rows)
 
-    monkeypatch.setattr(decompose, name, recording)
-    done = decompose._solve_share(pts, m, tasks, 0, 1)
-    if lockstep:
-        assert [[len(s) for s in subsets] for subsets in calls] == [[24] * 6, [23] * 8, [22]]
-    else:  # one call per task, in task order
-        assert len(calls) == len(tasks) and all(map(np.array_equal, calls, tasks))
+    def recording_dense(points, metric, subset):
+        lone.append(subset)
+        return dense(points, metric, subset=subset)
+
+    monkeypatch.setattr(dense_module, "_lockstep_run", recording_run)
+    monkeypatch.setattr(dense_module, "dense_mst", recording_dense)
+    done = dense_module.lockstep_mst(pts, m, tasks)  # the share of one worker
+    if not lockstep:
+        assert runs == []
+    elif cap is None:
+        assert runs == [[24] * 6, [23] * 8]
+    else:
+        assert runs == [[24] * 4, [24] * 2, [23] * 4, [23] * 4]
+    # the one task of 22 points runs alone; bounded tasks go one per call, in task order
+    expected = tasks[-1:] if lockstep else tasks
+    assert len(lone) == len(expected) and all(map(np.array_equal, lone, expected))
     for task, tree in zip(tasks, done, strict=True):
         assert format_edges(tree) == format_edges(dense_mst(pts, m, subset=task))
 
@@ -467,7 +476,7 @@ def test_an_exception_in_a_childs_share_is_raised_with_its_type_and_message(monk
     # The child's frames, down to the patched lockstep solver that raised, are
     # in the chained cause.
     text = "".join(traceback.format_exception(caught.value))
-    assert "in _solve_share" in text and "in patched" in text
+    assert "in _fork" in text and "in patched" in text
     assert "in patched" in str(caught.value.__cause__)
     assert no_child_processes()
 
@@ -647,9 +656,10 @@ def test_a_run_above_the_fork_threshold_still_forks(monkeypatch):
 def test_two_workers_fork_only_where_the_estimated_work_repays_it(n, d, name, k, processes):
     # The runs kept in one process measured slower with two; the forked
     # ones measured faster with two while both vCPUs ran (2-vCPU x86_64).
-    tasks = [np.concatenate(pair) for pair in combinations(make_partition(n, k).blocks, 2)]
-    assert decompose._processes(tasks, Metric(name), d, 2) == processes
-    assert decompose._processes(tasks, Metric(name), d, 1) == 1
+    sizes = [a.size + b.size for a, b in combinations(make_partition(n, k).blocks, 2)]
+    seconds = dense_module.estimated_seconds(Metric(name), d, sizes)
+    assert decompose._repaid(seconds, 2) == processes
+    assert decompose._repaid(seconds, 1) == 1
 
 
 def test_two_workers_leave_multiprocessing_unimported():

@@ -450,28 +450,28 @@ def test_lockstep_gives_each_task_the_tree_and_counter_of_dense_mst(name, d, tas
     "tasks, cap, calls, alone",
     [
         (5, None, [5], 0),  # one run of every task
-        (5, 2 * 960, [5, 2, 2, 1], 1),  # 2 tasks of 20 points in 3 + 3 floats each fit 1920 bytes
-        (5, 1, [5, 1, 1, 1, 1, 1], 5),  # no two fit, so each task runs alone
-        (1, None, [1], 1),
+        (5, 2 * 960, [2, 2], 1),  # 2 tasks of 20 points in 3 + 3 floats each fit 1920 bytes
+        (5, 1, [], 5),  # no two fit, so each task runs alone
+        (1, None, [], 1),
     ],
 )
 def test_lockstep_splits_its_tasks_into_runs_that_fit_the_cap(tasks, cap, calls, alone, monkeypatch):
-    # A call with more tasks than fit hands each run to lockstep_mst again,
-    # and a run of one goes to dense_mst.
+    # A group with more tasks than fit runs in chunks that do, and a chunk
+    # of one goes to dense_mst.
     if cap is not None:
         monkeypatch.setattr(dense_module, "_LOCKSTEP_MAX_BYTES", cap)
     runs, lone = [], []
-    lockstep, dense = dense_module.lockstep_mst, dense_module.dense_mst
+    run, dense = dense_module._lockstep_run, dense_module.dense_mst
 
-    def recording_lockstep(points, metric, subsets):
-        runs.append(len(subsets))
-        return lockstep(points, metric, subsets)
+    def recording_run(points, metric, rows):
+        runs.append(len(rows))
+        return run(points, metric, rows)
 
     def recording_dense(points, metric, subset):
         lone.append(subset)
         return dense(points, metric, subset=subset)
 
-    monkeypatch.setattr(dense_module, "lockstep_mst", recording_lockstep)
+    monkeypatch.setattr(dense_module, "_lockstep_run", recording_run)
     monkeypatch.setattr(dense_module, "dense_mst", recording_dense)
     pts = generate_instance(22, 60, 3, "gaussian")
     m = Metric("manhattan")
@@ -481,6 +481,25 @@ def test_lockstep_splits_its_tasks_into_runs_that_fit_the_cap(tasks, cap, calls,
     assert runs == calls
     assert len(lone) == alone
     assert [_bits(t) for t in trees] == [_bits(dense(pts, m, subset=s)) for s in subsets]
+
+
+@pytest.mark.parametrize("cap", [None, 2 * 960], ids=["one-run-per-size", "split"])
+@pytest.mark.parametrize("name, d", [("euclidean", 32), ("manhattan", 3)], ids=["bounded", "unbounded"])
+def test_lockstep_solves_subsets_of_mixed_sizes_as_dense_mst_does_in_order(name, d, cap, monkeypatch):
+    # At d = 3 two tasks of 20 points fit 1920 bytes, so the group of four
+    # splits in two, and the three tasks of 7 points still run together.
+    if cap is not None:
+        monkeypatch.setattr(dense_module, "_LOCKSTEP_MAX_BYTES", cap)
+    assert dense_module.has_step_bound(Metric(name), d) == (d == 32)
+    pts = generate_instance(23, 60, d, "gaussian")
+    m = Metric(name)
+    rng = np.random.default_rng(d)
+    sizes = [20, 7, 20, 1, 7, 0, 20, 2, 13, 1, 7, 20, 2, 0]
+    subsets = [rng.choice(60, size=size, replace=False) for size in sizes]
+    trees = dense_module.lockstep_mst(pts, m, subsets)
+    assert [_bits(t) for t in trees] == [_bits(dense_mst(pts, m, subset=s)) for s in subsets]
+    assert [len(t) for t in trees] == [max(size - 1, 0) for size in sizes]
+    assert dense_module.lockstep_mst(pts, m, []) == []
 
 
 def test_lockstep_gives_each_task_its_finite_forest_and_full_counter():
