@@ -215,6 +215,7 @@ def cmd_bench(args) -> int:
         ks = [int(s) for s in args.partitions_list.split(",")]
     except ValueError:
         raise UsageError("--partitions-list must be comma-separated integers") from None
+    ks = [_integer(k, "block count", 1, args.n) for k in ks]
     points = generate_instance(args.seed, args.n, args.dim, "uniform_cube")
     metric = Metric(args.metric)
     rows = ["k\ttasks\tdistance_evals\tredundancy_factor\tedges_gathered\twall_time_ms"]

@@ -22,8 +22,12 @@ without ties makes seven array calls besides the distance block:
   the hole at q, and in-tree coordinates are never read again, so the
   copy is not written back;
 - update (5): a strict and an equal comparison, a count of the ties, an
-  in-place minimum and one masked store of the new source; the (u, v)
-  rule runs only when some weight ties.
+  in-place minimum and one masked store of the new source; only where a
+  weight ties does one more comparison run, g < f: for a frontier vertex
+  x, the new tree vertex g and the old source f, (min(g, x), max(g, x)) <
+  (min(f, x), max(f, x)) iff g < f (with g and f on one side of x both
+  pairs hold x and differ in g and f; on opposite sides, the pair of the
+  one below x leads).
 
 Below d = 8 the private working copy is column-major (Fortran order), so
 the frontier work[t + 1:] is an (r, d) view with contiguous columns and
@@ -40,10 +44,14 @@ runs on and the EdgeList leaves the inf edges out: the minimum spanning
 forest of the finite-distance pairs. np.errstate keeps numpy quiet.
 
 Lockstep. _lockstep_run advances T tasks of one size together, so one numpy
-call of a step serves all of them. Task i's slot j holds its coordinates,
-its frontier weight and the local indices (into task i's rows, exact as
-floats) of its vertex and of that weight's source, in one (T, m, d + 3)
-float array, slot-minor below d = 8 as above. A step without ties makes:
+call of a step serves all of them. Each task's rows are stepped in id
+order, so its local indices compare as its ids do and both tie rules run
+on them; the tree is unique under the (w, u, v) order and a pair's bits do
+not depend on which end joins first, so that order changes no edge. Task
+i's slot j holds its coordinates, its frontier weight and the local
+indices (into task i's rows, exact as floats) of its vertex and of that
+weight's source, in one (T, m, d + 3) float array, slot-minor below d = 8
+as above. A step without ties makes:
 
 - select: argmin over the (T, r) frontier, one flat take and one flat put
   that swap each task's chosen slot with its slot t, and one count of
@@ -271,7 +279,7 @@ def dense_mst(
         improve = fresh < tail_w
         ties = fresh == tail_w
         if np.count_nonzero(ties):
-            improve |= ties & _precedes(g, tail_from, gid[t + 1 :])
+            improve |= ties & (g < tail_from)
         np.minimum(tail_w, fresh, out=tail_w)
         np.putmask(tail_from, improve, g)
 
@@ -336,6 +344,8 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
     T, m = rows.shape
     metric.check_domain(points, rows.reshape(-1))
     d = points.dim
+    # Each task's rows in id order, so local indices compare as ids do.
+    rows = np.take_along_axis(rows, np.argsort(points.ids[rows], axis=1), axis=1)
     gids = points.ids[rows]
     # slots[i, j]: coordinates, frontier weight, and the local indices (into
     # rows[i]) of the vertex and of the weight's source; slot-minor below d = 8.
@@ -356,9 +366,6 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
     at = np.empty((2, T, d + 3), dtype=np.int64)
     at[1] = (np.arange(T)[:, None] * slots.strides[0] + np.arange(d + 3) * slots.strides[2]) // 8
 
-    def ids(x):
-        return np.take_along_axis(gids, x.astype(np.int64), axis=1)
-
     block = metric.block
     best_w[:, 1:] = block(coords[:, :1], coords[:, 1:])
     best_from[:, 1:] = 0.0
@@ -373,9 +380,8 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
         row = head.take(at)
         w = row[0, :, d : d + 1]
         if np.count_nonzero(frontier == w) > T:
-            frm, gx = ids(best_from[:, t:]), ids(local[:, t:])
             for i in np.flatnonzero(np.count_nonzero(frontier == w, axis=1) > 1):
-                q[i] = _canonical_tie(frontier[i], frm[i], gx[i], w[i, 0]) * stride
+                q[i] = _canonical_tie(frontier[i], best_from[i, t:], local[i, t:], w[i, 0]) * stride
             np.add(at[1], q, out=at[0])
             row = head.take(at)
         head.put(at, row[::-1])
@@ -388,7 +394,7 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
         improve = fresh < tail_w
         ties = fresh == tail_w
         if np.count_nonzero(ties):
-            improve |= ties & _precedes(ids(g), ids(tail_from), ids(local[:, t + 1 :]))
+            improve |= ties & (g < tail_from)
         np.minimum(tail_w, fresh, out=tail_w)
         np.copyto(tail_from, g, where=improve)
 
@@ -396,15 +402,6 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
     ends = slots[:, 1:, d + 1 :].astype(np.int64)
     finite = np.isfinite(best_w[:, 1:])
     return [EdgeList(*gids[i][ends[i][finite[i]].T], best_w[i, 1:][finite[i]]) for i in range(T)]
-
-
-def _precedes(g, frm: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """Where the pair (g, gx) comes before the pair (frm, gx) in (u, v) order."""
-    u_new = np.minimum(g, gx)
-    v_new = np.maximum(g, gx)
-    u_old = np.minimum(frm, gx)
-    v_old = np.maximum(frm, gx)
-    return (u_new < u_old) | ((u_new == u_old) & (v_new < v_old))
 
 
 def _canonical_tie(w: np.ndarray, frm: np.ndarray, gx: np.ndarray, value) -> int:

@@ -519,6 +519,19 @@ def test_bench_rejects_bad_requests(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("ks, bad", [("1,8", 8), ("8,1", 8), ("2,0", 0)])
+def test_bench_checks_every_block_count_before_any_work(ks, bad, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench worked before checking every block count")
+
+    monkeypatch.setattr(cli, "generate_instance", refuse)
+    monkeypatch.setattr(cli, "decomposed_mst", refuse)
+    code, out, err = run(["bench", "--n", "5", "--dim", "2", "--partitions-list", ks], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: block count must be an integer in 1..5, got {bad}\n"
+
+
 def test_dendrogram_writes_merges_and_edges(points_csv, tmp_path, capsys):
     edges = tmp_path / "edges.tsv"
     dendro = tmp_path / "dendro.tsv"
