@@ -215,9 +215,10 @@ def _run_forked(jobs) -> list:
     result over a pipe once the job is done, and this process reads the
     pipes in job order after job 0. A child whose job raises pickles the
     exception and its formatted traceback instead, and this process raises
-    that exception from a RuntimeError that holds the child's traceback.
-    Every child is reaped before return, also when this process fails or is
-    interrupted.
+    that exception from a RuntimeError that holds the child's traceback. A
+    child that ends without reporting is a ChildProcessError that says how
+    it ended. Every child is reaped before return, also when this process
+    fails or is interrupted.
     """
     results: list = [None] * len(jobs)
     children = []
@@ -229,7 +230,10 @@ def _run_forked(jobs) -> list:
             try:
                 ok, results[i] = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker process {pid} ended without reporting") from None
+                ending = _ending(pid)
+                children.remove((pid, reader))  # reaped, so the pid may be reused
+                reader.close()
+                raise ChildProcessError(f"worker process {pid} ended without reporting: {ending}") from None
             if not ok:
                 exc, trace = results[i]
                 raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
@@ -242,6 +246,15 @@ def _run_forked(jobs) -> list:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
     return results
+
+
+def _ending(pid: int) -> str:
+    """How the child pid ended, once it has closed its pipe; reaps it."""
+    try:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # reaped already, as when SIGCHLD is ignored
+        return "its exit status was not kept"
+    return f"killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exited with status {code}"
 
 
 def _fork(job, siblings):

@@ -3,10 +3,14 @@
 Prim with a nearest-outside-tree array: no heap, no materialized adjacency,
 and every unordered pair is evaluated (or, with the step bound below, ruled
 out by a bound) exactly once, so the distance counter is m*(m-1)/2 by
-construction. Weight ties fall back to the canonical (u, v)
-pair, both when updating a frontier candidate and when selecting the next
-vertex, which keeps the result identical to Kruskal under the same total
-order.
+construction. Both kernels put a task's rows in id order and name each
+by its local index, its place in that order, so local indices compare as
+ids do; only the forest read-off (_forest) maps them to ids. Weight ties
+fall back to the canonical (u, v) pair, both when updating a frontier
+candidate and when selecting the next vertex, which keeps the result
+identical to Kruskal under the same total order. The tree is unique under
+it, and a pair's bits do not depend on which end joins first, so neither
+the row order nor the start vertex changes an edge.
 
 At low d a step costs numpy call overhead rather than arithmetic, so a step
 without ties makes seven array calls besides the distance block:
@@ -15,19 +19,20 @@ without ties makes seven array calls besides the distance block:
   that slot is set to inf, and the weight at the argmin of the rest is
   compared with the old value; only a tied minimum pays for the (u, v)
   tie-break, and the slot is restored either way;
-- move (scalar stores and one row copy): the chosen vertex's id, weight
-  and source swap with position t's, a no-op where q is t, so position t
-  holds step t's edge and the tree is read from positions 1..m-1 at the
-  end; the chosen row is copied out and the coordinates at t move into
-  the hole at q, and in-tree coordinates are never read again, so the
-  copy is not written back;
-- update (5): a strict and an equal comparison, a count of the ties, an
-  in-place minimum and one masked store of the new source; only where a
-  weight ties does one more comparison run, g < f: for a frontier vertex
-  x, the new tree vertex g and the old source f, (min(g, x), max(g, x)) <
-  (min(f, x), max(f, x)) iff g < f (with g and f on one side of x both
-  pairs hold x and differ in g and f; on opposite sides, the pair of the
-  one below x leads).
+- move (scalar stores and one row copy): the chosen vertex's local index,
+  weight and source swap with position t's, a no-op where q is t, so
+  position t holds step t's edge and the tree is read from positions
+  1..m-1 at the end; the chosen row is copied out and the coordinates at t
+  move into the hole at q, and in-tree coordinates are never read again,
+  so the copy is not written back;
+- update (5, _update): a strict and an equal comparison, a count of the
+  ties, an in-place minimum and one masked store of the new source; only
+  where a weight ties does one more comparison run, g < f: for the local
+  indices x of a frontier vertex, g of the new tree vertex and f of the
+  old source, (min(g, x), max(g, x)) < (min(f, x), max(f, x)) iff g < f
+  (with g and f on one side of x both pairs hold x and differ in g and f;
+  on opposite sides, the pair of the one below x leads), and local indices
+  order pairs as their ids do.
 
 Below d = 8 the private working copy is column-major (Fortran order), so
 the frontier work[t + 1:] is an (r, d) view with contiguous columns and
@@ -44,14 +49,10 @@ runs on and the EdgeList leaves the inf edges out: the minimum spanning
 forest of the finite-distance pairs. np.errstate keeps numpy quiet.
 
 Lockstep. _lockstep_run advances T tasks of one size together, so one numpy
-call of a step serves all of them. Each task's rows are stepped in id
-order, so its local indices compare as its ids do and both tie rules run
-on them; the tree is unique under the (w, u, v) order and a pair's bits do
-not depend on which end joins first, so that order changes no edge. Task
-i's slot j holds its coordinates, its frontier weight and the local
-indices (into task i's rows, exact as floats) of its vertex and of that
-weight's source, in one (T, m, d + 3) float array, slot-minor below d = 8
-as above. A step without ties makes:
+call of a step serves all of them. Task i's slot j holds its coordinates,
+its frontier weight and the local indices (exact as floats) of its vertex
+and of that weight's source, in one (T, m, d + 3) float array, slot-minor
+below d = 8 as above. A step without ties makes:
 
 - select: argmin over the (T, r) frontier, one flat take and one flat put
   that swap each task's chosen slot with its slot t, and one count of
@@ -100,8 +101,8 @@ Gram. The gemv does one multiply-add per frontier value it reads, so at
 high d each step is bound by memory traffic, not arithmetic, while a GEMM
 reuses every row it loads. From d = _GRAM_FROM a bounded task therefore
 computes work @ work.T once, times -2 * scale (exact, a power of two), and
-a step reads its dot terms as gram[row_pos][pos[t+1:]], where pos holds
-each row's index into the Gram and moves with the row as the bias does.
+a step reads its dot terms as gram[g][local[t+1:]]: a row's local index is
+its Gram row.
 The Gram holds m*m doubles (4.5 MB at m = 750), so it is used only within
 _GRAM_MAX_BYTES and the gemv serves larger tasks. With one BLAS thread and
 two workers solving tasks at once (same host), the Gram took 0.84-1.00 of
@@ -111,7 +112,8 @@ at m = 3000 and 0.44-0.57 at m = 4500 (a 162 MB Gram per worker). It still
 wins there, so the cap only bounds memory: 128 MiB (m <= 4096) per
 process. The Gram's entries differ from the gemv's only in rounding, which
 the bound below covers, so the Gram changes which rows are evaluated,
-never a weight or the counter.
+never a weight or the counter; a Gram that cannot be allocated
+(MemoryError) therefore leaves its task on the gemv.
 
 Why lo never exceeds the computed value (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, section 3.1). Let u = 2^-53, eta = 2^-1074
@@ -147,6 +149,7 @@ can overflow.
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 
 import numpy as np
@@ -208,10 +211,11 @@ def dense_mst(
     if m <= 1:
         return EdgeList()
     metric.check_domain(points, idx)
+    idx = idx[np.argsort(points.ids[idx])]  # id order, so local indices compare as ids do
     work = metric.prepared(points)[idx]
     if points.dim < _COLUMN_MAJOR_BELOW:
         work = np.asfortranarray(work)
-    gid = points.ids[idx].copy()
+    local = np.arange(m)  # each row's local index, also its Gram row; it moves with the row
     block = metric.block
     bias = _bound_bias(work, metric)
     if bias is not None:
@@ -220,16 +224,15 @@ def dense_mst(
         floor = points.dim * _UNDERFLOW_SLACK
         gram = None
         if points.dim >= _GRAM_FROM and m * m * 8 <= _GRAM_MAX_BYTES:
-            gram = _scaled_gram(work, scale)
-        pos = np.arange(m)  # each row's index into gram; it moves with the row
+            with contextlib.suppress(MemoryError):  # the gemv gives the same bytes
+                gram = _scaled_gram(work, scale)
 
     # Rows are physically reordered as vertices join the tree: positions
     # [0, t) are in-tree, [t, m) are outside, so the frontier is always a
     # contiguous slice and per-row distance bits never depend on position.
     best_w = np.empty(m, dtype=np.float64)
-    best_from = np.empty(m, dtype=np.int64)
+    best_from = np.zeros(m, dtype=np.int64)
     best_w[1:] = block(work[0], work[1:])
-    best_from[1:] = gid[0]
 
     for t in range(1, m):
         frontier = best_w[t:]
@@ -239,54 +242,44 @@ def dense_mst(
         tied = frontier[frontier.argmin()] == w
         frontier[q] = w
         if tied:
-            q = _canonical_tie(frontier, best_from[t:], gid[t:], w)
+            q = _canonical_tie(frontier, best_from[t:], local[t:], w)
             w = frontier[q]
         q += t
-        g = gid[q]
+        g = local[q]
         if bias is not None:
             row_bias = bias[q]
             bias[q] = bias[t]
-            row_pos = pos[q]
-            pos[q] = pos[t]
         row = work[q].copy()
         work[q] = work[t]
-        gid[q], gid[t] = gid[t], g
+        local[q], local[t] = local[t], g
         best_w[q], best_w[t] = best_w[t], w
         best_from[q], best_from[t] = best_from[t], best_from[q]
         if t + 1 == m:
             break
-        tail_w = best_w[t + 1 :]
-        tail_from = best_from[t + 1 :]
         if bias is None:
             fresh = block(row, work[t + 1 :])
         else:
-            # The bound of every frontier row, on the scale of tail_w; only
+            # The bound of every frontier row, on the scale of best_w; only
             # the rows it does not put strictly above their entry are
             # evaluated, and every other row keeps its bound.
             if gram is None:
                 lo = work[t + 1 :] @ (row * (-2.0 * scale))
             else:
-                lo = gram[row_pos][pos[t + 1 :]]
+                lo = gram[g][local[t + 1 :]]
             lo += bias[t + 1 :]
             lo += row_bias - floor
             if root:
                 np.sqrt(lo, out=lo)  # a negative bound becomes NaN, which is evaluated
-            near = np.flatnonzero(~(lo > tail_w))
+            near = np.flatnonzero(~(lo > best_w[t + 1 :]))
             if not near.size:
                 continue
             lo[near] = block(row, work[near + (t + 1)])
             fresh = lo
-        improve = fresh < tail_w
-        ties = fresh == tail_w
-        if np.count_nonzero(ties):
-            improve |= ties & (g < tail_from)
-        np.minimum(tail_w, fresh, out=tail_w)
-        np.putmask(tail_from, improve, g)
+        _update(best_w[t + 1 :], best_from[t + 1 :], fresh, g)
 
     if stats is not None:
         stats.distance_evals += m * (m - 1) // 2
-    finite = np.isfinite(best_w[1:])
-    return EdgeList(best_from[1:][finite], gid[1:][finite], best_w[1:][finite])
+    return _forest(points.ids[idx], local[1:], best_from[1:], best_w[1:])
 
 
 def has_step_bound(metric: Metric, dim: int) -> bool:
@@ -346,7 +339,6 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
     d = points.dim
     # Each task's rows in id order, so local indices compare as ids do.
     rows = np.take_along_axis(rows, np.argsort(points.ids[rows], axis=1), axis=1)
-    gids = points.ids[rows]
     # slots[i, j]: coordinates, frontier weight, and the local indices (into
     # rows[i]) of the vertex and of the weight's source; slot-minor below d = 8.
     if d < _COLUMN_MAJOR_BELOW:
@@ -388,20 +380,30 @@ def _lockstep_run(points: PointSet, metric: Metric, rows: np.ndarray) -> list[Ed
         if t + 1 == m:
             break
         g = row[0, :, d + 1 : d + 2]
+        # Kept until the next block exists: freed at once, it let glibc trim and
+        # refault the heap every step (+30 ms on 28 tasks of 750 points, d = 2, 2-vCPU x86_64).
         fresh = block(row[0, :, None, :d], coords[:, t + 1 :])
-        tail_w = best_w[:, t + 1 :]
-        tail_from = best_from[:, t + 1 :]
-        improve = fresh < tail_w
-        ties = fresh == tail_w
-        if np.count_nonzero(ties):
-            improve |= ties & (g < tail_from)
-        np.minimum(tail_w, fresh, out=tail_w)
-        np.copyto(tail_from, g, where=improve)
+        _update(best_w[:, t + 1 :], best_from[:, t + 1 :], fresh, g)
 
     # Slot t now holds the vertex step t chose, with its weight and source.
     ends = slots[:, 1:, d + 1 :].astype(np.int64)
-    finite = np.isfinite(best_w[:, 1:])
-    return [EdgeList(*gids[i][ends[i][finite[i]].T], best_w[i, 1:][finite[i]]) for i in range(T)]
+    return [_forest(points.ids[rows[i]], *ends[i].T, best_w[i, 1:]) for i in range(T)]
+
+
+def _update(tail_w: np.ndarray, tail_from: np.ndarray, fresh: np.ndarray, g) -> None:
+    """Lower the frontier to fresh, the new tree vertex g's distances, and make g the source where it wins."""
+    improve = fresh < tail_w
+    ties = fresh == tail_w
+    if np.count_nonzero(ties):
+        improve |= ties & (g < tail_from)
+    np.minimum(tail_w, fresh, out=tail_w)
+    np.copyto(tail_from, g, where=improve)
+
+
+def _forest(ids: np.ndarray, vertex: np.ndarray, source: np.ndarray, weight: np.ndarray) -> EdgeList:
+    """The finite-weight edges of a Prim run's steps, each joining local index vertex to source, as ids."""
+    finite = np.isfinite(weight)
+    return EdgeList(ids[vertex[finite]], ids[source[finite]], weight[finite])
 
 
 def _canonical_tie(w: np.ndarray, frm: np.ndarray, gx: np.ndarray, value) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import re
 import shlex
@@ -692,3 +693,122 @@ def test_python_dash_m_runs_the_command_line(points_csv, tmp_path):
     bad = _python_m(["geomst", "frobnicate"], tmp_path)
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+def _allocate_too_much():
+    np.empty((10**7, 10**7))  # 728 TiB, beyond any address space
+
+
+OUT_OF_MEMORY = r"out of memory: Unable to allocate 728\. TiB for an array with shape \(10000000, 10000000\) .*"
+
+
+@pytest.mark.parametrize(
+    "in_child, die, message",
+    [
+        (False, _allocate_too_much, OUT_OF_MEMORY),
+        (True, _allocate_too_much, OUT_OF_MEMORY),
+        (True, lambda: os.kill(os.getpid(), 9), r"worker process \d+ ended without reporting: killed by signal 9 \(Killed\)"),
+        (True, lambda: os._exit(4), r"worker process \d+ ended without reporting: exited with status 4"),
+    ],
+)
+def test_running_out_of_memory_or_losing_a_worker_exits_two_with_one_line(
+    in_child, die, message, tmp_path, monkeypatch, capsys, forking
+):
+    # A MemoryError in this process's own share or in a child's, and a child
+    # that ends without reporting, are classified errors: no traceback.
+    parent = os.getpid()
+    solve = geomst.decompose.lockstep_mst
+
+    def patched(*args):
+        if in_child == (os.getpid() != parent):
+            die()
+        return solve(*args)
+
+    monkeypatch.setattr(geomst.decompose, "lockstep_mst", patched)
+    path = tmp_path / "points.vecbin"
+    write_points(generate_instance(4, 30, 3, "gaussian"), str(path))
+    code, out, err = run(["mst", "--input", str(path), "--partitions", "3", "--workers", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {message}\n", err)
+    assert no_child_processes()
+
+
+# Run in a child process, which limits its own address space. With glibc's
+# mmap threshold fixed, every array from 128 KiB up is mapped on its own and
+# unmapped when freed, so VmSize follows the live arrays. The 3000 x 768
+# points take 17.6 MiB and the task's Gram 68.7 MiB. 78 MiB above VmSize
+# holds the command's own arrays on the gemv path (a copy of the points, the
+# working copy, a step's gathered rows and their differences: at most 70.3
+# MiB) but not the working copy and the Gram (86.3 MiB), so the task and
+# the command fall back to the gemv; 8 MiB holds no copy of the points.
+_UNDER_AN_ADDRESS_SPACE_LIMIT = r"""
+import contextlib, io, json, resource, sys
+import geomst.cli as cli
+import geomst.dense as dense
+import numpy as np
+from geomst import Metric, dense_mst, format_edges, read_points
+
+path, dest = sys.argv[1:]
+points = read_points(path, workers=1)
+grams = []
+real_gram = dense._scaled_gram
+def recording(work, scale):
+    try:
+        gram = real_gram(work, scale)
+    except MemoryError:
+        grams.append("failed")
+        raise
+    grams.append("made")
+    return gram
+dense._scaled_gram = recording
+np.ones((600, 600)) @ np.ones((600, 600)) @ np.ones(600)  # OpenBLAS maps its buffers before any limit
+
+def limited(extra):
+    with open("/proc/self/status") as status:
+        size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+    resource.setrlimit(resource.RLIMIT_AS, (size + extra, resource.RLIM_INFINITY))
+
+def command():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["mst", "--input", path, "--output", dest, "--partitions", "1", "--workers", "1"])
+    return code, err.getvalue()
+
+report = {}
+limited(78 * 2**20)
+report["task"] = format_edges(dense_mst(points, Metric("euclidean")))
+limited(78 * 2**20)
+report["command"] = command()
+limited(8 * 2**20)
+report["starved"] = command()
+report["limited_grams"] = list(grams)
+resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+grams.clear()
+report["unlimited"] = format_edges(dense_mst(points, Metric("euclidean")))
+report["unlimited_grams"] = grams
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc/self/status")
+def test_a_gram_beyond_the_address_space_limit_falls_back_and_less_memory_exits_two(tmp_path):
+    # One Gram of the 3000-point task is 3000 * 3000 doubles, 68.7 MiB.
+    path, dest = tmp_path / "points.vecbin", tmp_path / "edges.tsv"
+    write_points(generate_instance(3, 3000, 768, "gaussian"), str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geomst.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MALLOC_MMAP_THRESHOLD_="131072")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDER_AN_ADDRESS_SPACE_LIMIT, str(path), str(dest)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["unlimited_grams"] == ["made"]
+    assert report["limited_grams"] == ["failed", "failed"]
+    assert report["task"] == report["unlimited"]
+    assert report["command"] == [0, ""]
+    assert dest.read_text() == report["unlimited"]
+    code, err = report["starved"]
+    assert code == 2
+    assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]* with shape [^\n]*\n", err)

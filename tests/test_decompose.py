@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -531,20 +532,45 @@ def test_a_zero_vector_is_reported_as_the_oracle_reports_it(workers, strategy, f
     assert no_child_processes()
 
 
-def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch, forking):
+def _dying_children(monkeypatch, die):
+    """Patch the lockstep solver: a child's share calls die() instead of reporting."""
     parent = os.getpid()
     solve = decompose.lockstep_mst
 
     def patched(*args):
         if os.getpid() != parent:
-            os._exit(3)
+            die()
         return solve(*args)
 
     monkeypatch.setattr(decompose, "lockstep_mst", patched)
+
+
+def _ended_without_reporting(ending):
     pts, m, part = _three_tasks()
-    with pytest.raises(RuntimeError, match="ended without reporting"):
+    with pytest.raises(ChildProcessError) as caught:
         decomposed_mst(pts, m, part, "gather", 2)
+    assert re.fullmatch(rf"worker process \d+ ended without reporting: {re.escape(ending)}", str(caught.value))
     assert no_child_processes()
+
+
+def test_a_worker_that_dies_without_reporting_is_an_error(monkeypatch, forking):
+    _dying_children(monkeypatch, lambda: os._exit(3))
+    _ended_without_reporting("exited with status 3")
+
+
+def test_a_worker_killed_by_a_signal_is_an_error_that_names_it(monkeypatch, forking):
+    _dying_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    _ended_without_reporting(f"killed by signal {int(signal.SIGKILL)} (Killed)")
+
+
+def test_a_worker_reaped_by_the_system_is_still_an_error(monkeypatch, forking):
+    # With SIGCHLD ignored the kernel reaps every child itself, so its status is gone.
+    _dying_children(monkeypatch, lambda: os._exit(3))
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        _ended_without_reporting("its exit status was not kept")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
 
 
 def _forbid_fork(monkeypatch):

@@ -369,12 +369,18 @@ def test_the_bound_prunes_exact_evaluations_only_where_it_applies(name):
 def test_gram_and_gemv_give_the_same_tree_and_counter(name, d, monkeypatch):
     # A bounded task takes each step's dot terms from one Gram matrix or from
     # a gemv; other rounding may change which rows are evaluated, never a
-    # weight, a tie's winner or the counter.
+    # weight, a tie's winner or the counter. A Gram that cannot be allocated
+    # leaves the task on the gemv.
     grams = []
     real_gram = dense_module._scaled_gram
-    monkeypatch.setattr(
-        dense_module, "_scaled_gram", lambda work, scale: grams.append(len(work)) or real_gram(work, scale)
-    )
+
+    def gram(work, scale):
+        grams.append(len(work))
+        if source == "no memory":
+            raise MemoryError("Unable to allocate the Gram")
+        return real_gram(work, scale)
+
+    monkeypatch.setattr(dense_module, "_scaled_gram", gram)
     rows = []
 
     class CountingMetric(Metric):
@@ -394,7 +400,7 @@ def test_gram_and_gemv_give_the_same_tree_and_counter(name, d, monkeypatch):
             coords = _adversarial(kind, n, d, rng)
         pts = PointSet(coords, ids=rng.choice(25 * n, size=n, replace=False))
         expected = _bits(oracle_mst(pts, Metric(name)))
-        for gram_from, gram_bytes, source in ((0, 2**40, "gram"), (10**9, 0, "gemv")):
+        for gram_from, gram_bytes, source in ((0, 2**40, "gram"), (0, 2**40, "no memory"), (10**9, 0, "gemv")):
             monkeypatch.setattr(dense_module, "_GRAM_FROM", gram_from)
             monkeypatch.setattr(dense_module, "_GRAM_MAX_BYTES", gram_bytes)
             grams.clear()
@@ -404,8 +410,9 @@ def test_gram_and_gemv_give_the_same_tree_and_counter(name, d, monkeypatch):
             assert stats.distance_evals == n * (n - 1) // 2
             # cosine bounds on unit rows, whose norms never reach the limit
             unbounded = kind == "one_beyond_norm_limit" and name != "cosine_distance"
-            assert grams == ([n] if source == "gram" and not unbounded else []), (kind, source)
+            assert grams == ([n] if source != "gemv" and not unbounded else []), (kind, source)
             assert (sum(rows) == n * (n - 1) // 2) == unbounded, (kind, source)
+
 
 
 LOCKSTEP = [
